@@ -82,13 +82,14 @@ class StencilBlock(Chare):
         self.config = config
         self.neighbors = decomp.neighbors(bi, bj)
         self.done_targets = done_targets  # (times_cb, checksum_cb, mesh_cb)
-        #: Precomputed per-neighbor send plan (side, neighbor index,
-        #: opposite side, wire bytes): plain data computed once instead
-        #: of a proxy walk + ghost_bytes call per send per step.
-        self._ghost_plan = [
-            (side, nbr, OPPOSITE[side], decomp.ghost_bytes(side) + 64)
-            for side, nbr in self.neighbors.items()
-        ]
+        #: Virtual costs fixed by the block's shape, charged per step or
+        #: per ghost: the same floats the cost model returns each time.
+        costs = config.costs
+        self._ghost_cost = {side: costs.ghost_cost(decomp.ghost_bytes(side))
+                            for side in self.neighbors}
+        self._compute_cost = costs.compute_cost(decomp.block_rows,
+                                                decomp.block_cols)
+        self._send_cost = costs.send_cost(len(self.neighbors))
 
         h, w = decomp.block_rows, decomp.block_cols
         if config.payload == "real":
@@ -108,8 +109,19 @@ class StencilBlock(Chare):
         self.step = 0
         self._started = False
         self._ghost_buf: Dict[Tuple[int, str], Any] = {}
+        #: Ghosts buffered per step: the step can run once its count
+        #: reaches the number of neighbors.
+        self._arrivals: Dict[int, int] = {}
         self.completed_at: List[float] = []
         self._finished = False
+
+    def _bind(self, rts, cid) -> None:
+        super()._bind(rts, cid)
+        #: Per-neighbor send plan (canonical id, side, opposite side, wire
+        #: bytes), built on the first send (the neighbors register after
+        #: this block) and again after a checkpoint restore rebinds it.
+        self._ghost_plan: Optional[List[Tuple[ChareID, str, str, int]]] \
+            = None
 
     # -- fixed (Dirichlet) global boundary ----------------------------------
 
@@ -167,8 +179,8 @@ class StencilBlock(Chare):
             raise ConfigurationError(
                 f"block ({self.bi},{self.bj}) got duplicate ghost {key}")
         self._ghost_buf[key] = vec
-        self.charge(self.config.costs.ghost_cost(
-            self.decomp.ghost_bytes(side)))
+        self._arrivals[step] = self._arrivals.get(step, 0) + 1
+        self.charge(self._ghost_cost[side])
         self._drain_ready_steps()
 
     # -- the per-step pipeline -------------------------------------------------------
@@ -176,8 +188,7 @@ class StencilBlock(Chare):
     def _ready(self) -> bool:
         if self._finished or not self._started:
             return False
-        return all((self.step, side) in self._ghost_buf
-                   for side in self.neighbors)
+        return self._arrivals.get(self.step, 0) == len(self.neighbors)
 
     def _drain_ready_steps(self) -> None:
         """Advance as many steps as buffered ghosts permit (usually one)."""
@@ -188,6 +199,7 @@ class StencilBlock(Chare):
 
     def _advance_step(self) -> None:
         cfg = self.config
+        self._arrivals.pop(self.step, None)
         for side in self.neighbors:
             vec = self._ghost_buf.pop((self.step, side))
             if cfg.payload == "real":
@@ -200,8 +212,7 @@ class StencilBlock(Chare):
                 jacobi_step_into(self.u, self._scratch)
                 self.u[1:-1, 1:-1] = self._scratch
             self._reapply_fixed_boundary()
-        self.charge(cfg.costs.compute_cost(
-            self.decomp.block_rows, self.decomp.block_cols))
+        self.charge(self._compute_cost)
 
         self.step += 1
         self.completed_at.append(self.now)
@@ -241,12 +252,18 @@ class StencilBlock(Chare):
         per-send proxy/BoundEntry allocations on the hottest app loop.
         """
         rts = self._require_rts()
-        collection = self._id.collection
+        plan = self._ghost_plan
+        if plan is None:
+            collection = self._id.collection
+            plan = self._ghost_plan = [
+                (rts.chare_id(collection, nbr), side, OPPOSITE[side],
+                 self.decomp.ghost_bytes(side) + 64)
+                for side, nbr in self.neighbors.items()]
         step = self.step
-        self.charge(self.config.costs.send_cost(len(self.neighbors)))
+        self.charge(self._send_cost)
         tag = f"ghost s{step}"
-        for side, nbr, opposite, size in self._ghost_plan:
-            rts.send(ChareID(collection, nbr), "ghost",
+        for target, side, opposite, size in plan:
+            rts.send(target, "ghost",
                      (step, opposite, self._boundary(side)), {},
                      size=size, tag=tag)
 

@@ -27,7 +27,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.ids import ChareID, Index
+from repro.core.ids import Index
 from repro.errors import RuntimeSystemError
 
 
@@ -121,4 +121,4 @@ def restore_checkpoint(rts, checkpoint: Checkpoint) -> None:
                 f"c{coll.cid} (restore into a *fresh* runtime)")
         for idx, (pe, blob) in sorted(image.elements.items()):
             obj = pickle.loads(blob)
-            rts._register(coll, ChareID(coll.cid, idx), obj, pe)
+            rts._register(coll, idx, obj, pe)

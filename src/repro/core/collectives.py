@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.ids import ChareID, Index
+from repro.core.ids import Index
 from repro.core.method import invocation_bytes
 from repro.core.records import Bundle, Invocation, RelayMsg
 
@@ -53,7 +53,7 @@ def group_targets_by_pe(rts: "Runtime", collection: int,
     """Group element indices by their current host PE (sorted, stable)."""
     groups: Dict[int, List[Index]] = {}
     for idx in indices:
-        pe = rts.pe_of(ChareID(collection, idx))
+        pe = rts.pe_of(rts.chare_id(collection, idx))
         groups.setdefault(pe, []).append(idx)
     for lst in groups.values():
         lst.sort()
@@ -66,7 +66,7 @@ def _dispatch_group(rts: "Runtime", collection: int, entry: str,
                     priority: Optional[int], tag: str,
                     relay_hop: int = 0) -> None:
     """Send one per-PE bundle covering *targets* on *pe*."""
-    invocations = [Invocation(ChareID(collection, idx), entry,
+    invocations = [Invocation(rts.chare_id(collection, idx), entry,
                               args, dict(kwargs))
                    for idx in targets]
     wire = size if size is not None else bundle_size(

@@ -31,18 +31,26 @@ def normalize_index(index) -> Index:
 class ChareID:
     """Globally unique chare address: (collection, index).
 
-    Hand-written ``__slots__`` class rather than a frozen dataclass:
-    ChareIDs are constructed per proxy call and hashed on every location
-    lookup, so the hash is computed once at construction and the
-    comparison dunders avoid building intermediate tuples.
+    The runtime creates one *canonical* instance per registered chare
+    (:meth:`~repro.core.rts.Runtime.chare_id`) and every proxy,
+    collective and send plan hands that instance out, so the dicts keyed
+    on chare ids (load-balancer database, reduction counters) hit
+    CPython's identity fast path and never call :meth:`__eq__`.  The
+    hash and the location-independent trace :attr:`label` (equal to
+    ``str(cid)``) are computed once, at construction: a lazy label would
+    need ``__getattr__``, which slows every attribute read on the class.
     """
 
-    __slots__ = ("collection", "index", "_hash")
+    __slots__ = ("collection", "index", "label", "_hash")
 
     def __init__(self, collection: int, index: Index) -> None:
         self.collection = collection
         self.index = index
         self._hash = hash((collection, index))
+        #: ``str(self)``: the object label trace sinks attribute events
+        #: to.  It never mentions a PE, so it is stable across migration.
+        self.label = (f"c{collection}[{','.join(map(str, index))}]"
+                      if index else f"c{collection}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,9 +96,7 @@ class ChareID:
         return f"ChareID(collection={self.collection}, index={self.index})"
 
     def __str__(self) -> str:
-        if not self.index:
-            return f"c{self.collection}"
-        return f"c{self.collection}[{','.join(map(str, self.index))}]"
+        return self.label
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class ArrayProxy:
     def elem(self, index) -> ChareProxy:
         """Proxy to the element at *index*."""
         idx: Index = normalize_index(index)
-        return ChareProxy(self._rts, ChareID(self._collection, idx))
+        return ChareProxy(self._rts, self._rts.chare_id(self._collection, idx))
 
     def __getitem__(self, index) -> ChareProxy:
         return self.elem(index)

@@ -103,13 +103,15 @@ class RuntimeConfig:
 class _Collection:
     """Registry record for one chare collection."""
 
-    __slots__ = ("cid", "cls", "mapping", "objects")
+    __slots__ = ("cid", "cls", "mapping", "objects", "ids")
 
     def __init__(self, cid: int, cls: type) -> None:
         self.cid = cid
         self.cls = cls
         self.mapping: Dict[Index, int] = {}
         self.objects: Dict[Index, Optional[Chare]] = {}
+        #: The canonical :class:`ChareID` of every registered element.
+        self.ids: Dict[Index, ChareID] = {}
 
 
 class Runtime:
@@ -157,9 +159,6 @@ class Runtime:
         #: the getattr + entry_info walk is paid once per entry, not once
         #: per send.
         self._declared_prio: Dict[Tuple[int, str], Optional[int]] = {}
-        #: Memoized ``ChareID -> str(ChareID)`` labels for trace object
-        #: attribution; consulted only when tracing is enabled.
-        self._obj_labels: Dict[ChareID, str] = {}
 
     # -- basic accessors -------------------------------------------------------
 
@@ -192,10 +191,8 @@ class Runtime:
         """Create a singleton chare of *cls* on *pe*; returns its proxy."""
         self._check_pe(pe)
         coll = self._new_collection(cls)
-        cid = ChareID(coll.cid, ())
         obj = cls(*args, **(kwargs or {}))
-        self._register(coll, cid, obj, pe)
-        return ChareProxy(self, cid)
+        return ChareProxy(self, self._register(coll, (), obj, pe))
 
     def create_array(self, cls: type, indices: Sequence,
                      mapping, args_of: Optional[Callable] = None,
@@ -235,7 +232,7 @@ class Runtime:
             else:
                 a, kw = args, (kwargs or {})
             obj = cls(*a, **kw)
-            self._register(coll, ChareID(coll.cid, idx), obj, pe)
+            self._register(coll, idx, obj, pe)
         return ArrayProxy(self, coll.cid)
 
     def _new_collection(self, cls: type) -> _Collection:
@@ -244,14 +241,17 @@ class Runtime:
         self._next_collection += 1
         return coll
 
-    def _register(self, coll: _Collection, cid: ChareID, obj: Chare,
-                  pe: int) -> None:
+    def _register(self, coll: _Collection, index: Index, obj: Chare,
+                  pe: int) -> ChareID:
+        """Place *obj* at *index* on *pe*; returns its canonical id."""
         if not isinstance(obj, Chare):
             raise RuntimeSystemError(
                 f"{type(obj).__name__} does not derive from Chare")
+        cid = coll.ids[index] = ChareID(coll.cid, index)
         obj._bind(self, cid)
-        coll.mapping[cid.index] = pe
-        coll.objects[cid.index] = obj
+        coll.mapping[index] = pe
+        coll.objects[index] = obj
+        return cid
 
     def _check_pe(self, pe: int) -> None:
         if not (0 <= pe < self.topology.num_pes):
@@ -265,6 +265,17 @@ class Runtime:
             return self._collections[cid]
         except KeyError:
             raise UnknownChareError(f"unknown collection c{cid}") from None
+
+    def chare_id(self, collection: int, index: Index) -> ChareID:
+        """The canonical id of element *index* of *collection*.
+
+        Unregistered addresses get a fresh, non-canonical id, so a proxy
+        to a missing element still fails only when it is used (with
+        :class:`UnknownChareError` from the send path).
+        """
+        coll = self._collections.get(collection)
+        cid = coll.ids.get(index) if coll is not None else None
+        return cid if cid is not None else ChareID(collection, index)
 
     def pe_of(self, chare_id: ChareID) -> int:
         """The PE currently (or imminently) hosting *chare_id*."""
@@ -295,8 +306,9 @@ class Runtime:
         """Every chare's current PE (load balancers consume this)."""
         out: Dict[ChareID, int] = {}
         for coll in self._collections.values():
+            ids = coll.ids
             for idx, pe in coll.mapping.items():
-                out[ChareID(coll.cid, idx)] = pe
+                out[ids[idx]] = pe
         return out
 
     # -- the send path ------------------------------------------------------------------
@@ -309,10 +321,8 @@ class Runtime:
         if priority is None:
             priority = self._default_priority(target, entry, dst_pe)
         wire = size if size is not None else invocation_bytes(args, kwargs)
-        self._dispatch_payload(
-            dst_pe=dst_pe, payload=Invocation(target, entry, args, kwargs),
-            size=wire, priority=priority, tag=tag or entry,
-            dst_chare=target)
+        self._dispatch_payload(dst_pe, Invocation(target, entry, args, kwargs),
+                               wire, priority, tag or entry, target)
 
     def broadcast(self, collection: int, entry: str, args: tuple,
                   kwargs: dict, size: Optional[int] = None,
@@ -350,19 +360,6 @@ class Runtime:
         ctx = self.scheduler.current_context
         return ctx.pe if ctx is not None else self.config.driver_pe
 
-    def _obj_label(self, chare_id: ChareID) -> str:
-        """Memoized, location-independent trace label for a chare.
-
-        ``str(ChareID)`` never mentions a PE, so the label is stable
-        across migration — per-object trace aggregation keyed on it
-        follows the *object* wherever load balancing moves it.
-        """
-        label = self._obj_labels.get(chare_id)
-        if label is None:
-            label = str(chare_id)
-            self._obj_labels[chare_id] = label
-        return label
-
     def _dispatch_payload(self, dst_pe: int, payload: Any, size: int,
                           priority: Optional[int], tag: str,
                           dst_chare: Optional[ChareID] = None,
@@ -372,22 +369,25 @@ class Runtime:
                           relay_hop: int = 0) -> None:
         """Common exit point for every runtime-generated message."""
         ctx = self.scheduler.current_context
-        origin = src_pe if src_pe is not None else self._originating_pe()
+        if src_pe is not None:
+            origin = src_pe
+        else:  # _originating_pe(), inlined on the per-send path
+            origin = ctx.pe if ctx is not None else self.config.driver_pe
         msg = Message(
             src_pe=origin, dst_pe=dst_pe, size_bytes=size, payload=payload,
             priority=priority if priority is not None else DEFAULT_PRIORITY,
             tag=tag)
         if relay_hop:
             msg.relay_hop = relay_hop
-        tracer = self.tracer
+        tracer = self.fabric.tracer
         if tracer is not None and tracer.enabled:
             # Object attribution for the trace sinks.  Labels are stamped
             # only when tracing is on, so the obs-off hot path is
             # byte-for-byte the seed's (two None slot writes aside).
             if ctx is not None and ctx.chare_id is not None:
-                msg.src_obj = self._obj_label(ctx.chare_id)
+                msg.src_obj = ctx.chare_id.label
             if dst_chare is not None:
-                msg.dst_obj = self._obj_label(dst_chare)
+                msg.dst_obj = dst_chare.label
         if (self.config.collect_lb_stats and ctx is not None
                 and ctx.chare_id is not None and dst_chare is not None):
             self.lb_db.record_send(

@@ -144,7 +144,8 @@ class Scheduler:
         engine = rts.engine
         t0 = engine.now
         ctx = ExecutionContext(pe=ps.pe)
-        tracing = rts.tracer is not None and rts.tracer.enabled
+        tracer = rts.tracer
+        tracing = tracer is not None and tracer.enabled
         if tracing:
             ctx.exec_id = self._next_exec_id
             self._next_exec_id += 1
@@ -187,15 +188,16 @@ class Scheduler:
             self._current = None
 
         total = rts.config.scheduler_overhead + static_cost + ctx.charged
-        if tracing and rts.tracer.enabled:
+        if tracing and tracer.enabled:
             # Object label: set only for entry methods that actually ran
             # on a chare here (ctx.chare_id is filled by _run_invocation);
             # runtime-internal work (<rts>, <driver>) stays unattributed.
-            obj = (rts._obj_label(ctx.chare_id)
-                   if ctx.chare_id is not None else None)
-            rts.tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
-                                     sid=ctx.exec_id, parent=msg.cause,
-                                     trigger=msg.seq, obj=obj)
+            chare_id = ctx.chare_id
+            tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
+                                 sid=ctx.exec_id, parent=msg.cause,
+                                 trigger=msg.seq,
+                                 obj=chare_id.label
+                                 if chare_id is not None else None)
         engine.post(t0 + total, self._finish, args=(ps, ctx, total))
 
     def _run_invocation(self, ps: PeState, ctx: ExecutionContext,
@@ -248,8 +250,9 @@ class Scheduler:
                 total: float) -> None:
         rts = self._rts
         now = rts.engine.now
-        if rts.tracer is not None and rts.tracer.enabled:
-            rts.tracer.end_execute(ps.pe, now)
+        tracer = rts.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.end_execute(ps.pe, now)
         ps.stats.executions += 1
         ps.stats.busy_time += total
         if ctx.chare_id is not None and rts.config.collect_lb_stats:
@@ -257,10 +260,15 @@ class Scheduler:
 
         # Release messages produced by the execution: they depart *now*,
         # at the end of the busy interval (run-to-completion semantics).
-        for out in ctx.outbox:
-            ps.stats.messages_sent += 1
-            out.cause = ctx.exec_id
-            rts.fabric.send(out, self.deliver)
+        outbox = ctx.outbox
+        if outbox:
+            ps.stats.messages_sent += len(outbox)
+            send = rts.fabric.send
+            deliver = self.deliver
+            exec_id = ctx.exec_id
+            for out in outbox:
+                out.cause = exec_id
+                send(out, deliver)
 
         ps.busy = False
         ps.stats.last_idle_at = now

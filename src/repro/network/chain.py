@@ -9,12 +9,19 @@ whether it should simply send the message to the next device").
 
 Chains are built once per environment; see :mod:`repro.grid.presets` for
 the two configurations used in the paper's experiments.
+
+Most devices decide from the (src, dst) pair alone
+(:attr:`~repro.network.devices.ChainDevice.static_route`), so the walk
+is done once per pair into a *route plan* and replayed for every later
+message: static pass-throughs vanish from the plan, static delays
+replay their fixed delay, hop span and counter, and only the dynamic
+devices (fault injection, transforms) still run per message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +62,11 @@ class DeviceChain:
         self._devices: List[ChainDevice] = list(devices)
         if not self._devices:
             raise RoutingError("empty device chain")
+        #: ``(src_pe, dst_pe) -> (steps, transport, error)`` route plans
+        #: (see :meth:`_plan`), valid for :attr:`_plan_topo` and the
+        #: current device list; cleared whenever either changes.
+        self._plans: Dict[Tuple[int, int], tuple] = {}
+        self._plan_topo: Optional[GridTopology] = None
 
     @property
     def devices(self) -> List[ChainDevice]:
@@ -77,6 +89,7 @@ class DeviceChain:
         for i, dev in enumerate(self._devices):
             if isinstance(dev, TransportDevice):
                 self._devices.insert(i, device)
+                self._plans.clear()
                 return
         raise RoutingError(
             f"cannot insert {device.name!r}: chain has no transport "
@@ -87,6 +100,10 @@ class DeviceChain:
                 record: bool = True, now: float = 0.0,
                 ledger: Optional[List[HopSpan]] = None) -> Route:
         """Walk the chain until a transport claims *msg*.
+
+        The walk follows the route plan of *msg*'s (src, dst) pair (see
+        :meth:`_plan`), built on the pair's first message; the result is
+        the same as asking every device in turn.
 
         ``record=False`` resolves a model-only probe: no device statistics
         are updated and fault devices behave as pure pass-throughs (see
@@ -102,17 +119,34 @@ class DeviceChain:
         RoutingError
             If no device claims the message (misconfigured chain).
         """
+        if topo is not self._plan_topo:
+            self._plans.clear()
+            self._plan_topo = topo
+        plan = self._plans.get((msg.src_pe, msg.dst_pe))
+        if plan is None:
+            plan = self._plans[msg.src_pe, msg.dst_pe] = self._plan(msg, topo)
+        steps, transport, error = plan
         delay = 0.0
         current = msg
         dropped = False
         duplicates = 0
-        for dev in self._devices:
+        for dev, fixed in steps:
+            if fixed is not None:
+                # A static device's replayed outcome: same delay, span
+                # and counter as calling its ``process`` would give.
+                if record:
+                    dev.note_planned()
+                if ledger is not None:
+                    ledger.append(HopSpan(
+                        dev.name, dev.name, dev.hop_kind,
+                        now + delay, now + delay, now + (delay + fixed)))
+                delay += fixed
+                continue
             result = dev.process(current, topo, rng, record=record)
             if result.added_delay and ledger is not None:
                 ledger.append(HopSpan(
-                    device=dev.name, link=dev.name, kind=dev.hop_kind,
-                    enqueue=now + delay, dequeue=now + delay,
-                    arrive=now + (delay + result.added_delay)))
+                    dev.name, dev.name, dev.hop_kind, now + delay,
+                    now + delay, now + (delay + result.added_delay)))
             delay += result.added_delay
             current = result.message
             dropped = dropped or result.dropped
@@ -122,10 +156,42 @@ class DeviceChain:
                     raise RoutingError(
                         f"device {dev.name!r} claimed a message but is not "
                         "a transport device")
-                return Route(message=current, transport=dev,
-                             pre_transport_delay=delay,
-                             dropped=dropped, duplicates=duplicates)
-        raise RoutingError(
+                transport = dev
+                break
+        else:
+            if transport is None:
+                raise RoutingError(error)
+        return Route(message=current, transport=transport,
+                     pre_transport_delay=delay,
+                     dropped=dropped, duplicates=duplicates)
+
+    def _plan(self, msg: Message, topo: GridTopology) -> tuple:
+        """Walk the chain once for *msg*'s (src, dst) pair.
+
+        Returns ``(steps, transport, error)``.  ``steps`` lists, in
+        chain order, every dynamic device as ``(device, None)`` and
+        every static device that adds delay as ``(device, delay)``;
+        static devices that pass the pair through are left out.
+        ``transport`` is the first static device that claims the pair,
+        after which the walk stops.  When no static transport claims
+        it, ``transport`` is ``None`` and ``error`` says why resolution
+        fails unless a dynamic device claims the message first.
+        """
+        steps = []
+        for dev in self._devices:
+            if not dev.static_route:
+                steps.append((dev, None))
+                continue
+            result = dev.process(msg, topo, None, record=False)
+            if result.added_delay:
+                steps.append((dev, result.added_delay))
+            if result.claimed:
+                if isinstance(dev, TransportDevice):
+                    return tuple(steps), dev, None
+                return tuple(steps), None, (
+                    f"device {dev.name!r} claimed a message but is not "
+                    "a transport device")
+        return tuple(steps), None, (
             f"no device in chain claims PE {msg.src_pe} -> PE {msg.dst_pe} "
             f"(devices: {[d.name for d in self._devices]})")
 

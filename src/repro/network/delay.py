@@ -49,6 +49,8 @@ class DelayDevice(ChainDevice):
 
     #: Injected latency is modeled propagation, not queueing.
     hop_kind = "propagation"
+    #: The delay is a function of the pair (via *applies_to*) alone.
+    static_route = True
 
     def __init__(self, delay: float,
                  applies_to: PairPredicate = cross_cluster_pairs,
@@ -70,6 +72,9 @@ class DelayDevice(ChainDevice):
             return ProcessResult(message=msg, added_delay=self.delay)
         return ProcessResult(message=msg)
 
+    def note_planned(self) -> None:
+        self.messages_delayed += 1
+
     def reset_stats(self) -> None:
         self.messages_delayed = 0
 
@@ -87,6 +92,7 @@ class PairwiseDelayDevice(ChainDevice):
     """
 
     hop_kind = "propagation"
+    static_route = True
 
     def __init__(self, table: dict, name: str = "pairwise-delay") -> None:
         for pair, delay in table.items():
@@ -108,6 +114,9 @@ class PairwiseDelayDevice(ChainDevice):
                 self.messages_delayed += 1
             return ProcessResult(message=msg, added_delay=delay)
         return ProcessResult(message=msg)
+
+    def note_planned(self) -> None:
+        self.messages_delayed += 1
 
     def reset_stats(self) -> None:
         self.messages_delayed = 0

@@ -71,6 +71,13 @@ class ChainDevice:
     #: Hop-ledger kind stamped for this device's added delay (filter
     #: devices only; delay devices override with ``"propagation"``).
     hop_kind: str = "device_queue"
+    #: ``True`` when :meth:`process` depends only on the message's
+    #: (src, dst) pair and the topology: it draws no randomness, never
+    #: transforms, drops or duplicates the message, and its only side
+    #: effect is the counter :meth:`note_planned` replays.  The chain
+    #: resolves such a device once per pair and replays the outcome
+    #: (see :meth:`~repro.network.chain.DeviceChain.resolve`).
+    static_route: bool = False
 
     def process(self, msg: Message, topo: GridTopology,
                 rng: Optional[np.random.Generator], *,
@@ -83,6 +90,13 @@ class ChainDevice:
         faults — only report the deterministic part of its behaviour.
         """
         raise NotImplementedError
+
+    def note_planned(self) -> None:
+        """Update the statistics one recorded message would have updated.
+
+        Called for a :attr:`static_route` device whose planned step adds
+        delay, in place of ``process(..., record=True)``.
+        """
 
     def transit(self, msg: Message, topo: GridTopology, now: float,
                 rng: Optional[np.random.Generator],
@@ -100,6 +114,10 @@ class ChainDevice:
 class TransportDevice(ChainDevice):
     """A terminal device that moves bytes over one link class.
 
+    Whether it claims a message depends only on :meth:`reaches`, a
+    predicate of the (src, dst) pair, so transports are
+    :attr:`~ChainDevice.static_route`.
+
     Parameters
     ----------
     link:
@@ -108,6 +126,8 @@ class TransportDevice(ChainDevice):
         Optional contention model; when present, the message's
         serialization time is serialized FIFO per direction.
     """
+
+    static_route = True
 
     def __init__(self, link: LinkModel, pipe: Optional[PipePair] = None) -> None:
         self.link = link
@@ -139,9 +159,8 @@ class TransportDevice(ChainDevice):
         if self.pipe is None:
             if ledger is not None:
                 ledger.append(HopSpan(
-                    device=self.name, link=self.name, kind="wire",
-                    enqueue=now, dequeue=now, arrive=now + base,
-                    ser_s=self.link.serialization_time(msg.size_bytes)))
+                    self.name, self.name, "wire", now, now, now + base,
+                    self.link.serialization_time(msg.size_bytes)))
             return base
         # Contended path: serialization queues FIFO, propagation pipelines.
         ser = self.link.serialization_time(msg.size_bytes)

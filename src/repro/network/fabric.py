@@ -136,6 +136,18 @@ class NetworkFabric:
         self.shard_owned = None
         self.shard_export = None
 
+    @property
+    def tracer(self) -> Optional[TraceSink]:
+        """The trace sink receiving send/deliver events (``None``: off)."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, sink: Optional[TraceSink]) -> None:
+        # Whether the sink takes hop ledgers is fixed per sink, so it is
+        # decided here, once per assignment, instead of per send.
+        self._tracer = sink
+        self._hop_sink = sink if hasattr(sink, "message_hops") else None
+
     def send(self, msg: Message, deliver: DeliverFn) -> float:
         """Dispatch *msg*; *deliver* runs at the computed arrival time.
 
@@ -161,13 +173,13 @@ class NetworkFabric:
         crossed_wan = self.topology.crosses_wan(msg.src_pe, msg.dst_pe)
         msg.crossed_wan = crossed_wan
 
-        tracer = self.tracer
+        tracer = self._tracer
         # Flight recorder: collect per-device hop spans only when a live
         # sink wants them.  With tracing off this send takes the exact
         # code path (and float expressions) of the seed, so virtual-time
         # results are bit-identical with observability disabled.
-        want_hops = (tracer is not None and tracer.enabled
-                     and hasattr(tracer, "message_hops"))
+        hop_sink = self._hop_sink
+        want_hops = hop_sink is not None and hop_sink.enabled
         ledger: Optional[list] = [] if want_hops else None
         route = self.chain.resolve(msg, self.topology, self.rng,
                                    now=now, ledger=ledger)
@@ -202,7 +214,11 @@ class NetworkFabric:
         first_arrival = math.inf
         for _copy in range(1 + route.duplicates):
             if want_hops:
-                copy_ledger: list = list(ledger)
+                # Each wire copy extends the shared filter spans with its
+                # own transport spans; the list is copied only when a
+                # fault device injected duplicates.
+                copy_ledger: list = list(ledger) if route.duplicates \
+                    else ledger
                 transit = route.transport.transit(
                     wire_msg, self.topology, transport_start, self.rng,
                     ledger=copy_ledger)
@@ -218,7 +234,7 @@ class NetworkFabric:
                 # put on the wire (drops returned earlier; duplicates
                 # each get their own ledger with their own jitter and
                 # contention spans).
-                tracer.message_hops(
+                hop_sink.message_hops(
                     now, msg.src_pe, msg.dst_pe, wire_msg.size_bytes,
                     msg.tag, crossed_wan, msg.seq, arrival,
                     tuple(copy_ledger), relay_hop=msg.relay_hop,
@@ -240,7 +256,7 @@ class NetworkFabric:
             # Bound methods + args tuples, not per-copy closures: the
             # delivery post is once-per-wire-copy, so allocation here is
             # pure per-event overhead.
-            order = self._delivery_order(msg)
+            order = self._delivery_order(msg) if engine._ordered else None
             if tracer is not None:
                 engine.post(arrival, self._deliver_traced,
                             args=(msg, arrival, wire_msg.size_bytes,
@@ -279,7 +295,7 @@ class NetworkFabric:
         if msg.crossed_wan:
             self.wan_in_flight += 1
         order = self._delivery_order(msg)
-        if self.tracer is not None:
+        if self._tracer is not None:
             self.engine.post(arrival, self._deliver_traced,
                              args=(msg, arrival, wire_bytes, deliver),
                              order=order)
@@ -296,7 +312,7 @@ class NetworkFabric:
                         wire_bytes: int, deliver: DeliverFn) -> None:
         """Fire one wire copy's arrival, recording the delivery event."""
         self._land(msg)
-        self.tracer.message_delivered(arrival, msg.src_pe, msg.dst_pe,
+        self._tracer.message_delivered(arrival, msg.src_pe, msg.dst_pe,
                                       wire_bytes, msg.tag,
                                       msg.crossed_wan, seq=msg.seq,
                                       cause=msg.cause,

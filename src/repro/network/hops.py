@@ -24,11 +24,7 @@ whose ``kind`` names the whole hop.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+from typing import NamedTuple, Optional, Tuple
 
 #: Span kinds a device may stamp.  ``wire`` and ``stream`` spans are
 #: decomposed into queue/serialization/propagation sub-intervals by the
@@ -36,13 +32,16 @@ _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 HOP_KINDS = ("wire", "stream", "propagation", "device_queue")
 
 
-@dataclass(frozen=True, **_SLOTS)
-class HopSpan:
+class HopSpan(NamedTuple):
     """One device's contribution to a message's journey.
 
     ``device`` is the lane label (a stream pipe name for striped
     chunks); ``link`` is the owning device's name, so per-link rollups
     can aggregate stream lanes.
+
+    A ``NamedTuple`` rather than a frozen dataclass: one span is built
+    per hop of every traced send, and a tuple builds in well under half
+    the time.
     """
 
     device: str

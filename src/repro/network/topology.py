@@ -170,11 +170,19 @@ class GridTopology:
 
     def same_cluster(self, pe_a: int, pe_b: int) -> bool:
         """Do two PEs live in the same cluster (LAN reachable)?"""
-        return self.cluster_of(pe_a) == self.cluster_of(pe_b)
+        return not self.crosses_wan(pe_a, pe_b)
 
     def crosses_wan(self, pe_a: int, pe_b: int) -> bool:
-        """Would a message between these PEs traverse the wide area?"""
-        return not self.same_cluster(pe_a, pe_b)
+        """Would a message between these PEs traverse the wide area?
+
+        Asked on every send, so it reads the cluster table directly
+        rather than through :meth:`cluster_of`.
+        """
+        clusters = self._pe_to_cluster
+        try:
+            return clusters[pe_a] != clusters[pe_b]
+        except KeyError as exc:
+            raise TopologyError(f"unknown PE {exc.args[0]}") from None
 
     def cluster_pes(self, cluster: int) -> Tuple[int, ...]:
         """All PE indices belonging to *cluster*."""

@@ -125,6 +125,26 @@ class Histogram:
         idx = self.bucket_index(value)
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
 
+    def record_many(self, value: float, count: int) -> None:
+        """Record *count* samples of *value* in one step.
+
+        Equal to *count* :meth:`record` calls whenever the running sum
+        is exact, e.g. for integer-valued samples such as queue depths.
+        """
+        if count <= 0:
+            return
+        if value < 0:
+            raise ConfigurationError(
+                f"histogram {self.name!r} got negative sample {value}")
+        self.count += count
+        self.total += value * count
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        idx = self.bucket_index(value)
+        self.buckets[idx] = self.buckets.get(idx, 0) + count
+
     def bucket_index(self, value: float) -> int:
         """The bucket a sample falls in (-1 is the underflow bucket)."""
         if value < self.least:

@@ -53,7 +53,7 @@ from typing import (
 from repro.network.hops import HopLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: ``slots=True`` keeps the two per-event hot allocations small enough
 #: that tracing stays affordable in big sweeps; the keyword only exists
@@ -176,11 +176,6 @@ class LinkUsage:
     #: True once any cross-WAN wire copy used this lane.
     wan: bool = False
 
-    def observe(self, depth: int) -> None:
-        if self.depth_counts is None:
-            self.depth_counts = {}
-        self.depth_counts[depth] = self.depth_counts.get(depth, 0) + 1
-
     def queue_depth_quantile(self, q: float) -> int:
         """Exact quantile of observed enqueue-time queue depths."""
         counts = self.depth_counts or {}
@@ -235,7 +230,10 @@ def fold_hops(links: Dict[str, LinkUsage], hops: HopLedger,
         u.busy_s += h.ser_s
         u.queue_s += h.dequeue - h.enqueue
         u.flight_s += h.arrive - h.enqueue
-        u.observe(h.queue_depth)
+        counts = u.depth_counts
+        if counts is None:
+            counts = u.depth_counts = {}
+        counts[h.queue_depth] = counts.get(h.queue_depth, 0) + 1
         if wan:
             u.wan = True
 
@@ -1390,7 +1388,6 @@ class TraceAggregator:
         if metrics is not None:
             self._h_exec = metrics.histogram("trace.exec_duration_s")
             self._h_flight = metrics.histogram("trace.wan_flight_s")
-            self._h_depth = metrics.histogram("net.queue_depth")
             metrics.register_collector("trace", self._metric_values)
 
     # -- recording -------------------------------------------------------
@@ -1587,9 +1584,6 @@ class TraceAggregator:
         if not self.enabled:
             return
         fold_hops(self._links, hops, crossed_wan)
-        if self._metrics is not None:
-            for h in hops:
-                self._h_depth.record(float(h.queue_depth))
 
     # -- analysis --------------------------------------------------------
 
@@ -1690,7 +1684,27 @@ class TraceAggregator:
             u.busy_s for u in self._links.values())
         values["net.queue_time_s"] = sum(
             u.queue_s for u in self._links.values())
+        for sub, value in self.queue_depth_histogram().to_dict().items():
+            values[f"net.queue_depth.{sub}"] = value
         return values
+
+    def queue_depth_histogram(self) -> "Histogram":
+        """Enqueue-time queue depths of every folded hop, as a histogram.
+
+        Built from the lanes' exact integer ``depth_counts`` when asked
+        for, instead of recording each hop as it is folded.  Integer
+        samples sum exactly, so count, sum, min, max and quantiles equal
+        those of a histogram fed one hop at a time.
+        """
+        from repro.obs.metrics import Histogram  # import cycle guard
+        counts: Dict[int, int] = {}
+        for usage in self._links.values():
+            for depth, n in (usage.depth_counts or {}).items():
+                counts[depth] = counts.get(depth, 0) + n
+        hist = Histogram("net.queue_depth")
+        for depth in sorted(counts):
+            hist.record_many(float(depth), counts[depth])
+        return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TraceAggregator(pes={len(self._usage)}, "

@@ -171,3 +171,16 @@ def test_tracer_and_aggregator_fold_identical_lanes():
     for lane, bu in batch.items():
         assert live[lane].to_dict() == bu.to_dict()   # bit-identical
         assert live[lane].depth_counts == bu.depth_counts
+
+
+def test_queue_depth_histogram_matches_per_hop_recording():
+    from repro.obs.metrics import Histogram
+    env, _result, _boundaries = run_collectives(8.0, "flat", 1)
+    per_hop = Histogram("net.queue_depth")
+    for event in env.tracer.hops:
+        for span in event.hops:
+            per_hop.record(float(span.queue_depth))
+    assert per_hop.max > 0  # the single stream was contended
+    snap = env.metrics.snapshot()
+    assert {sub: snap[f"net.queue_depth.{sub}"]
+            for sub in per_hop.to_dict()} == per_hop.to_dict()
