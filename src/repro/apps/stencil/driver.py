@@ -85,20 +85,13 @@ class StencilApp:
     kernel:
         Jacobi arithmetic flavor (``"numpy"`` block kernel or
         ``"percell"`` scalar reference; real payload only).
-    target_wrapper:
-        Optional callable applied to each reduction callback before it
-        is handed to the blocks.  The sharded runner uses this to swap
-        the app's bound methods for picklable stand-ins that cross
-        process boundaries inside ``ReductionMsg`` payloads; serial runs
-        leave it ``None`` and the callbacks travel as-is.
     """
 
     def __init__(self, env: GridEnvironment, mesh: Tuple[int, int] = (2048, 2048),
                  objects: int = 64, payload: str = "real",
                  costs: Optional[StencilCostModel] = None,
                  mapping=None, seed: int = 0,
-                 gather_mesh: bool = False, kernel: str = "numpy",
-                 target_wrapper=None) -> None:
+                 gather_mesh: bool = False, kernel: str = "numpy") -> None:
         self.env = env
         self.decomp = BlockDecomposition.regular(mesh, objects)
         self.payload = payload
@@ -107,7 +100,6 @@ class StencilApp:
         self.seed = seed
         self.gather_mesh = gather_mesh
         self.kernel = kernel
-        self.target_wrapper = target_wrapper
         self._results: Dict[str, object] = {}
         self._t0 = 0.0
         self._warmup = 0
@@ -128,9 +120,8 @@ class StencilApp:
     def launch(self, steps: int, warmup: Optional[int] = None) -> None:
         """Build the chare array and send the start broadcast.
 
-        The run itself is driven by the caller — ``env.run()`` serially,
-        or the sharded sync loop — and :meth:`collect` then assembles the
-        measurements.  :meth:`run` chains all three for the common case.
+        Kept apart from :meth:`run` so the initial mesh (only needed to
+        seed the blocks) is freed before the simulation starts.
         """
         if steps <= 0:
             raise ConfigurationError(f"steps must be positive, got {steps}")
@@ -153,8 +144,6 @@ class StencilApp:
 
         decomp = self.decomp
         targets = (self._on_times, self._on_checksum, self._on_mesh)
-        if self.target_wrapper is not None:
-            targets = tuple(self.target_wrapper(cb) for cb in targets)
 
         def args_of(idx):
             bi, bj = idx

@@ -147,40 +147,6 @@ def artificial_latency_env(num_pes: int, latency: float, *, seed: int = 0,
                            profile=profile)
 
 
-def multi_cluster_env(cluster_sizes, latency: float, *, seed: int = 0,
-                      config: Optional[RuntimeConfig] = None,
-                      routing: Optional[str] = None,
-                      trace: bool = False, stats: bool = True,
-                      object_stats: bool = True,
-                      max_events: Optional[int] = None,
-                      sampling: Union[bool, SamplingPolicy, None] = None,
-                      health: Union[bool, HealthConfig, None] = None,
-                      profile: bool = False
-                      ) -> GridEnvironment:
-    """The artificial-latency grid generalized to N co-allocated clusters.
-
-    Same chain shape as :func:`artificial_latency_env` — the delay
-    device injects *latency* between every cross-cluster pair — but over
-    ``len(cluster_sizes)`` clusters of the given sizes.  This is the
-    sharded-PDES benchmark topology: each cluster is one shard, and the
-    injected latency is the conservative lookahead window.
-    """
-    if latency < 0:
-        raise ConfigurationError(f"negative artificial latency {latency}")
-    topo = GridTopology(list(cluster_sizes))
-    devices = _base_devices()
-    devices.append(DelayDevice(latency))
-    devices.append(WanDevice(myrinet_like(name="wan-artificial")))
-    chain = DeviceChain(devices)
-    return GridEnvironment(topo, chain, seed=seed,
-                           config=_apply_routing(config, routing),
-                           trace=trace, stats=stats,
-                           object_stats=object_stats,
-                           max_events=max_events,
-                           sampling=sampling, health=health,
-                           profile=profile)
-
-
 def lossy_wan_env(num_pes: int, latency: float, *,
                   loss: float = 0.05, duplication: float = 0.01,
                   reordering: float = 0.05,

@@ -1,8 +1,8 @@
 """Wall-clock self-profiler: where does *host* time go?
 
 Everything else in :mod:`repro.obs` measures the *simulated* clock; this
-module measures the simulator itself.  ROADMAP item 2 (real-parallel
-PDES, vectorized kernels) will be judged on host wall-clock, so the
+module measures the simulator itself.  Performance work (vectorized
+kernels, a leaner message stack) is judged on host wall-clock, so the
 repository needs a first-party answer to "which layer is slow" that
 does not require strapping cProfile onto every run.
 

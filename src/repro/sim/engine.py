@@ -114,10 +114,6 @@ class Engine:
         #: time is identical either way — the profiler only *observes*
         #: wall clock; when ``None`` the dispatch loops are untouched.
         self.profiler = None
-        #: Content-deterministic tie-breaking (sharded-PDES certification
-        #: mode).  ``False`` keeps the seed behaviour: ties resolve by
-        #: integer post order.  See :meth:`enable_ordered_ties`.
-        self._ordered: bool = False
 
     # -- clock --------------------------------------------------------------
 
@@ -145,35 +141,8 @@ class Engine:
 
     # -- scheduling -----------------------------------------------------------
 
-    def enable_ordered_ties(self) -> None:
-        """Switch same-instant tie-breaking to content-deterministic keys.
-
-        By default two events at the same virtual time fire in post
-        order (a global integer sequence) — deterministic for a single
-        engine, but meaningless across sharded-PDES workers, whose post
-        orders interleave differently.  In *ordered* mode every queue
-        entry's tiebreak is a tuple: ``(1, seq)`` for ordinary posts
-        (preserving post order among themselves) and a caller-supplied
-        ``order`` tuple sorting ahead of them — the network fabric keys
-        message deliveries ``(0, sent_at, src_pe, msg seq)``, a pure
-        function of the message, so same-instant deliveries pop in the
-        identical order whatever shard posted them.
-
-        Only sharded runs and their serial certification baselines use
-        this; default runs keep the integer fast path (and the seed's
-        exact trajectories).  Entries already queued are re-keyed in
-        place, preserving their current relative order.
-        """
-        if self._ordered:
-            return
-        self._ordered = True
-        for entry in self._queue:
-            entry[_SEQ] = (1, entry[_SEQ])
-        heapq.heapify(self._queue)
-
     def post(self, when: float, action: Action,
-             daemon: bool = False, args: tuple = _NO_ARGS,
-             order: Optional[tuple] = None) -> EventHandle:
+             daemon: bool = False, args: tuple = _NO_ARGS) -> EventHandle:
         """Schedule ``action(*args)`` to run at absolute virtual time *when*.
 
         With ``daemon=True`` the event is a background event: it fires in
@@ -181,12 +150,6 @@ class Engine:
         :attr:`pending` and does not keep :meth:`run` going once only
         daemon events remain (telemetry samplers reschedule themselves
         forever; the simulation must still terminate).
-
-        *order* is an optional same-instant tiebreak tuple, honoured only
-        after :meth:`enable_ordered_ties` (it is ignored — and post order
-        rules — in default mode).  The engine's own post sequence is
-        appended as the final element, so caller keys never need to be
-        globally unique.
 
         Raises
         ------
@@ -197,16 +160,12 @@ class Engine:
             raise SchedulingError(
                 f"cannot schedule event at t={when!r} before now={self._now!r}")
         seq = self._seq
-        if self._ordered:
-            key = (1, seq) if order is None else order + (seq,)
-        else:
-            key = seq
-        entry = [when, key, None, action, args, daemon]
-        self._seq += 1
+        entry = [when, seq, None, action, args, daemon]
+        self._seq = seq + 1
         heapq.heappush(self._queue, entry)
         if daemon:
             self._daemon_live += 1
-        return EventHandle(when, key, entry)
+        return EventHandle(when, seq, entry)
 
     def post_in(self, delay: float, action: Action,
                 daemon: bool = False, args: tuple = _NO_ARGS) -> EventHandle:
@@ -285,66 +244,22 @@ class Engine:
             if until is None:
                 self._run_all()
             else:
-                self._run_bounded(until, strict=False)
+                self._run_bounded(until)
                 if self._now < until:
                     self._now = until
         finally:
             self._running = False
         return self._now
 
-    def run_window(self, bound: float) -> float:
-        """Fire every event with ``when < bound``; never force the clock.
-
-        The sharded-PDES sync loop: a shard granted a safe horizon runs
-        exactly the events strictly inside it.  Unlike ``run(until=...)``
-        the clock is left at the last fired event, so messages imported
-        from other shards may still arrive anywhere in ``[now, bound)``
-        of the *next* window without tripping the causality check in
-        :meth:`post`.
-
-        Returns the virtual time at which execution stopped.
-        """
-        if self._running:
-            raise SimulationError("Engine.run() is not re-entrant")
-        self._running = True
-        try:
-            self._run_bounded(bound, strict=True)
-        finally:
-            self._running = False
-        return self._now
-
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the earliest live *non-daemon* event, or ``None``.
-
-        This is the shard's "earliest output time" in the conservative
-        sync protocol: nothing this shard ever sends can depart earlier.
-        Daemon events (telemetry ticks) are excluded — they observe the
-        simulation but never send messages, and counting them would stop
-        a quiescent shard from reporting ``None``.
-        """
-        if self._daemon_live == 0:
-            return self._peek_time()
-        best: Optional[float] = None
-        for entry in self._queue:
-            if entry[_STATE] is _QUEUED and not entry[_DAEMON]:
-                when = entry[_WHEN]
-                if best is None or when < best:
-                    best = when
-        return best
-
-    def _run_bounded(self, bound: float, *, strict: bool) -> None:
-        """Inlined bounded dispatch loop shared by :meth:`run` and
-        :meth:`run_window`.
+    def _run_bounded(self, bound: float) -> None:
+        """Inlined dispatch loop of ``run(until=bound)``: fires every event
+        with ``when <= bound``.
 
         Mirrors :meth:`_run_all` — queue, ``heappop`` and the max-events
         limit in locals, no method call per event — and is the single
         place bounded runs skip lazily-cancelled entries (they are popped
-        and accounted here, exactly once, instead of ``_peek_time``
-        popping them and ``step()`` re-scanning).  ``strict`` selects the
-        window semantics: inclusive (``when <= bound`` fires, for
-        ``run(until=...)``) or exclusive (``when < bound``, for shard
-        sync windows).  Any behavioral change here must land in
-        :meth:`step` too (and vice versa).
+        and accounted here, exactly once).  Any behavioral change here
+        must land in :meth:`step` too (and vice versa).
         """
         queue = self._queue
         pop = heapq.heappop
@@ -357,7 +272,7 @@ class Engine:
                 self._cancelled_in_queue -= 1
                 continue
             when = entry[_WHEN]
-            if when >= bound if strict else when > bound:
+            if when > bound:
                 break
             pop(queue)
             if entry[_DAEMON]:
@@ -469,17 +384,6 @@ class Engine:
                 bucket[0] += 1
                 bucket[1] += t_now - t_prev
             t_prev = t_now
-
-    def _peek_time(self) -> Optional[float]:
-        """Virtual time of the next live event, or ``None`` if queue empty."""
-        while self._queue:
-            entry = self._queue[0]
-            if entry[_STATE] is _CANCELLED:
-                heapq.heappop(self._queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return entry[_WHEN]
-        return None
 
     # -- debugging -------------------------------------------------------------
 

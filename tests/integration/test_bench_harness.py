@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.stencil import StencilApp
 from repro.bench.harness import (
     TERAGRID_ONE_WAY_MS,
     collectives_point,
@@ -11,6 +12,8 @@ from repro.bench.harness import (
     stencil_point,
 )
 from repro.bench.sweep import specs_fig3_collectives, sweep_fig3, sweep_table2
+from repro.grid.presets import artificial_latency_env
+from repro.units import ms
 
 
 def test_stencil_point_fields():
@@ -138,26 +141,6 @@ def test_points_are_deterministic():
     assert a.time_per_step == b.time_per_step
 
 
-def test_stencil_point_sharded_engine_matches_serial():
-    # The engine_shards knob must not change the measurement: the
-    # sharded conservative engine is trajectory-certified against
-    # serial, so time_per_step is identical and the digest rides along.
-    serial = stencil_point("t", pes=4, objects=16, latency_ms_value=8.0,
-                           mesh=(48, 48), steps=5)
-    sharded = stencil_point("t", pes=4, objects=16, latency_ms_value=8.0,
-                            mesh=(48, 48), steps=5, engine_shards=2)
-    assert sharded.time_per_step == serial.time_per_step
-    assert sharded.extra["engine_shards"] == 2
-    assert sharded.extra["sync_rounds"] > 0
-    assert len(sharded.extra["trajectory_digest"]) == 64
-
-
-def test_stencil_point_sharded_rejects_teragrid():
-    with pytest.raises(ValueError):
-        stencil_point("t", 4, 16, 2.0, environment="teragrid",
-                      engine_shards=2)
-
-
 def test_stencil_point_percell_kernel_same_measurement():
     numpy_p = stencil_point("t", pes=2, objects=4, latency_ms_value=4.0,
                             mesh=(24, 24), steps=3, payload="real")
@@ -165,3 +148,14 @@ def test_stencil_point_percell_kernel_same_measurement():
                               mesh=(24, 24), steps=3, payload="real",
                               kernel="percell")
     assert percell_p.time_per_step == numpy_p.time_per_step
+    assert percell_p.extra["makespan"] == numpy_p.extra["makespan"]
+    # The flavour changes only how the arithmetic is done: numerics and
+    # the whole event trajectory stay bit-identical.
+    runs = {}
+    for kernel in ("numpy", "percell"):
+        env = artificial_latency_env(2, ms(4.0))
+        result = StencilApp(env, mesh=(24, 24), objects=4,
+                            kernel=kernel).run(3)
+        runs[kernel] = (result.checksum, result.makespan,
+                        env.engine.events_processed)
+    assert runs["percell"] == runs["numpy"]

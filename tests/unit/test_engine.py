@@ -309,23 +309,7 @@ def test_daemon_event_with_args():
     assert seen == ["daemon", "work"]
 
 
-# -- bounded windows (the sharded-PDES dispatch surface) ---------------------
-
-
-def test_run_window_is_exclusive_and_never_forces_clock():
-    eng = Engine()
-    fired = []
-    eng.post(1.0, lambda: fired.append(1.0))
-    eng.post(2.0, lambda: fired.append(2.0))
-    eng.post(3.0, lambda: fired.append(3.0))
-    stopped = eng.run_window(2.0)
-    # Strictly-inside events only; the clock stays at the last event,
-    # leaving [1.0, 2.0) open for imports from other shards.
-    assert fired == [1.0]
-    assert stopped == eng.now == 1.0
-    eng.post(1.5, lambda: fired.append(1.5))  # an "import"
-    eng.run_window(10.0)
-    assert fired == [1.0, 1.5, 2.0, 3.0]
+# -- bounded runs -------------------------------------------------------------
 
 
 def test_run_until_is_inclusive_and_forces_clock():
@@ -339,48 +323,6 @@ def test_run_until_is_inclusive_and_forces_clock():
     assert eng2.run(until=3.0) == 3.0 and eng2.now == 3.0
 
 
-def test_run_window_empty_queue_leaves_clock():
-    eng = Engine(start_time=4.0)
-    assert eng.run_window(9.0) == 4.0
-
-
-def test_run_window_not_reentrant():
-    eng = Engine()
-    errors = []
-
-    def reenter():
-        try:
-            eng.run_window(5.0)
-        except SimulationError as exc:
-            errors.append(exc)
-
-    eng.post(1.0, reenter)
-    eng.run_window(2.0)
-    assert len(errors) == 1
-
-
-def test_next_event_time_skips_daemons_and_cancelled():
-    eng = Engine()
-    assert eng.next_event_time() is None
-    eng.post(7.0, lambda: None, daemon=True)
-    assert eng.next_event_time() is None  # daemon-only: quiescent shard
-    h = eng.post(2.0, lambda: None)
-    eng.post(3.0, lambda: None)
-    assert eng.next_event_time() == 2.0
-    eng.cancel(h)
-    assert eng.next_event_time() == 3.0
-
-
-def test_next_event_time_fast_path_without_daemons():
-    eng = Engine()
-    h = eng.post(1.0, lambda: None)
-    eng.post(4.0, lambda: None)
-    eng.cancel(h)
-    # No daemons live: the peek path must still skip the cancelled head.
-    assert eng.next_event_time() == 4.0
-    assert eng.pending == 1
-
-
 def test_cancel_heavy_bounded_run_accounting():
     eng = Engine()
     fired = []
@@ -390,8 +332,10 @@ def test_cancel_heavy_bounded_run_accounting():
         eng.cancel(h)
     eng.run(until=10.0)
     assert fired == [2.0, 4.0, 6.0, 8.0, 10.0]
-    eng.run_window(15.0)            # exclusive: 15.0 itself stays queued
-    assert fired[-1] == 14.0
+    assert eng.pending == 5
+    eng.run(until=15.0)             # the cancelled 15.0 head is skipped
+    assert fired[-1] == 14.0 and eng.now == 15.0
+    assert eng.pending == 3
     eng.run()
     assert fired == [float(t) for t in range(2, 21, 2)]
     assert eng.pending == 0
@@ -402,67 +346,7 @@ def test_cancel_after_window_still_honoured():
     fired = []
     eng.post(1.0, fired.append, args=("a",))
     late = eng.post(3.0, fired.append, args=("late",))
-    eng.run_window(2.0)
+    eng.run(until=2.0)
     eng.cancel(late)
     eng.run()
     assert fired == ["a"] and eng.pending == 0
-
-
-# -- ordered same-instant ties (sharded certification mode) ------------------
-
-
-def test_ordered_ties_sort_order_tuples_ahead_of_plain_posts():
-    eng = Engine()
-    eng.enable_ordered_ties()
-    order = []
-    eng.post(1.0, order.append, args=("plain-first",))
-    eng.post(1.0, order.append, args=("keyed-b",), order=(0, 0.5, 2))
-    eng.post(1.0, order.append, args=("keyed-a",), order=(0, 0.5, 1))
-    eng.post(1.0, order.append, args=("plain-second",))
-    eng.run()
-    # Keyed events rank ahead of every ordinary post at the same instant
-    # and sort by their caller key, not post order.
-    assert order == ["keyed-a", "keyed-b", "plain-first", "plain-second"]
-
-
-def test_ordered_ties_preserve_post_order_among_plain_posts():
-    eng = Engine()
-    eng.enable_ordered_ties()
-    order = []
-    for name in ("a", "b", "c"):
-        eng.post(2.0, order.append, args=(name,))
-    eng.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_enable_ordered_ties_rekeys_queued_entries():
-    eng = Engine()
-    order = []
-    eng.post(1.0, order.append, args=("early-1",))
-    eng.post(1.0, order.append, args=("early-2",))
-    eng.enable_ordered_ties()
-    eng.enable_ordered_ties()  # idempotent
-    eng.post(1.0, order.append, args=("keyed",), order=(0,))
-    eng.post(1.0, order.append, args=("late",))
-    eng.run()
-    assert order == ["keyed", "early-1", "early-2", "late"]
-
-
-def test_default_mode_ignores_order_keys():
-    eng = Engine()
-    order = []
-    eng.post(1.0, order.append, args=("first",), order=(9, 9, 9))
-    eng.post(1.0, order.append, args=("second",), order=(0,))
-    eng.run()
-    assert order == ["first", "second"]  # pure post order
-
-
-def test_ordered_ties_cancel_keyed_event():
-    eng = Engine()
-    eng.enable_ordered_ties()
-    order = []
-    h = eng.post(1.0, order.append, args=("dead",), order=(0, 1))
-    eng.post(1.0, order.append, args=("alive",), order=(0, 2))
-    eng.cancel(h)
-    eng.run()
-    assert order == ["alive"] and eng.pending == 0
