@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -107,6 +108,24 @@ def _timed_run(**env_kwargs):
     return dt, env
 
 
+def stats_tracemalloc_peak():
+    """Peak traced heap bytes of one default stats-mode run.
+
+    Untimed and outside the wall-clock comparison: tracing allocations
+    slows the run severalfold.  Logged so the trajectory shows whether
+    default observability's memory stays fixed as the code changes.
+    """
+    env = artificial_latency_env(PES, ms(LATENCY_MS))
+    app = StencilApp(env, mesh=MESH, objects=OBJECTS, payload="modeled")
+    tracemalloc.start()
+    try:
+        app.run(STEPS)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def measure_obs_overhead():
     """Wall-clock cost of each observability level on the same run.
 
@@ -117,9 +136,9 @@ def measure_obs_overhead():
       switched off (``object_stats=False``): the stats baseline the
       object view's marginal cost is measured against;
     * ``stats`` — the library default: streaming aggregation of every
-      trace event *including* the object fold, so
-      ``objects_vs_stats`` is the object view's *marginal* cost (its
-      own < 5 % acceptance bar);
+      trace event *including* the object fold, which folds online
+      inside the timed run, so ``objects_vs_stats`` is the object
+      view's whole *marginal* cost (its own < 5 % acceptance bar);
     * ``profile`` — ``stats`` plus the wall-clock self-profiler, so
       ``profile_vs_stats`` is the profiler's *marginal* cost (its own
       < 5 % acceptance bar);
@@ -191,6 +210,7 @@ def measure_obs_overhead():
         "events": events,
         "events_per_sec_off": events / off_s,
         "events_per_sec_stats": events / stats_s,
+        "tracemalloc_peak_stats_bytes": stats_tracemalloc_peak(),
     }
 
 
@@ -408,7 +428,9 @@ def main(argv=None):
           f"full tracing {obs['wall_full_s'] * 1e3:.1f} ms "
           f"({obs['full_vs_off']:+.1%} vs off); "
           f"self-reported obs.overhead_fraction "
-          f"{obs['overhead_fraction_sampling']:.4f}")
+          f"{obs['overhead_fraction_sampling']:.4f}; stats-mode "
+          f"tracemalloc peak "
+          f"{obs['tracemalloc_peak_stats_bytes'] / 1e6:.2f} MB")
     # Acceptance bars: the flight recorder + telemetry sampler at
     # ``sampling`` detail must stay under 5 % marginal wall-clock cost
     # on top of the streaming-stats baseline — and so must the wall-clock

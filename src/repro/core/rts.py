@@ -140,6 +140,9 @@ class Runtime:
         reset_seq_counter()
         self.engine = engine
         self.fabric = fabric
+        #: The fabric's trace sink, kept current by the fabric.
+        self.tracer: Optional[TraceSink] = None
+        fabric.add_sink_reader(self)
         self.config = config or RuntimeConfig()
         if not (0 <= self.config.driver_pe < self.topology.num_pes):
             raise ConfigurationError(
@@ -165,10 +168,6 @@ class Runtime:
     @property
     def topology(self) -> GridTopology:
         return self.fabric.topology
-
-    @property
-    def tracer(self) -> Optional[TraceSink]:
-        return self.fabric.tracer
 
     @property
     def now(self) -> float:
@@ -379,7 +378,7 @@ class Runtime:
             tag=tag)
         if relay_hop:
             msg.relay_hop = relay_hop
-        tracer = self.fabric.tracer
+        tracer = self.tracer
         if tracer is not None and tracer.enabled:
             # Object attribution for the trace sinks.  Labels are stamped
             # only when tracing is on, so the obs-off hot path is

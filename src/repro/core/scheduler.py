@@ -194,9 +194,8 @@ class Scheduler:
             # runtime-internal work (<rts>, <driver>) stays unattributed.
             chare_id = ctx.chare_id
             tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
-                                 sid=ctx.exec_id, parent=msg.cause,
-                                 trigger=msg.seq,
-                                 obj=chare_id.label
+                                 ctx.exec_id, msg.cause, msg.seq,
+                                 chare_id.label
                                  if chare_id is not None else None)
         engine.post(t0 + total, self._finish, args=(ps, ctx, total))
 

@@ -133,6 +133,11 @@ class TransportDevice(ChainDevice):
         self.link = link
         self.pipe = pipe
         self.name = link.name
+        #: The lane of the one ``wire`` span :meth:`transit` stamps when
+        #: that span follows from the copy's start, transit time and size
+        #: alone (no pipe); ``None`` when the device queues or stripes.
+        #: Lets a lane-only trace sink fold the span without building it.
+        self.fixed_lane: Optional[str] = self.name if pipe is None else None
         #: Statistics: messages and bytes carried.
         self.messages_carried = 0
         self.bytes_carried = 0

@@ -117,6 +117,9 @@ class NetworkFabric:
         self.topology = topology
         self.chain = chain
         self.rng = rng
+        #: Objects whose ``tracer`` attribute mirrors this fabric's sink
+        #: (see :meth:`add_sink_reader`).
+        self._sink_readers: list = []
         self.tracer = tracer
         self.stats = FabricStats()
         #: Wire copies posted but not yet delivered (live gauges, used by
@@ -138,6 +141,21 @@ class NetworkFabric:
         # decided here, once per assignment, instead of per send.
         self._tracer = sink
         self._hop_sink = sink if hasattr(sink, "message_hops") else None
+        # A sink that only sums lanes can take a fixed single-span ledger
+        # as its numbers (see ``send``).
+        self._lane_sink = sink if hasattr(sink, "fold_wire") else None
+        for reader in self._sink_readers:
+            reader.tracer = sink
+
+    def add_sink_reader(self, reader) -> None:
+        """Keep ``reader.tracer`` equal to this fabric's sink from now on.
+
+        The runtime layers above the fabric read the sink on every
+        execution; a plain attribute, updated here whenever the sink is
+        assigned, makes that read one attribute lookup.
+        """
+        self._sink_readers.append(reader)
+        reader.tracer = self._tracer
 
     def send(self, msg: Message, deliver: DeliverFn) -> float:
         """Dispatch *msg*; *deliver* runs at the computed arrival time.
@@ -175,21 +193,18 @@ class NetworkFabric:
 
         if tracer is not None:
             tracer.message_sent(now, msg.src_pe, msg.dst_pe,
-                                wire_msg.size_bytes, msg.tag,
-                                crossed_wan, seq=msg.seq,
-                                cause=msg.cause, ack_for=msg.ack_for,
-                                src_obj=msg.src_obj, dst_obj=msg.dst_obj)
+                                wire_msg.size_bytes, msg.tag, crossed_wan,
+                                msg.seq, msg.cause, msg.ack_for,
+                                msg.src_obj, msg.dst_obj)
 
         if route.dropped:
             self.stats.record_drop(route.transport.name)
             if tracer is not None:
                 tracer.message_dropped(now, msg.src_pe, msg.dst_pe,
                                        wire_msg.size_bytes, msg.tag,
-                                       crossed_wan, seq=msg.seq,
-                                       cause=msg.cause,
-                                       ack_for=msg.ack_for,
-                                       src_obj=msg.src_obj,
-                                       dst_obj=msg.dst_obj)
+                                       crossed_wan, msg.seq, msg.cause,
+                                       msg.ack_for, msg.src_obj,
+                                       msg.dst_obj)
             return math.inf
 
         if route.duplicates:
@@ -198,21 +213,30 @@ class NetworkFabric:
 
         engine = self.engine
         stats = self.stats
+        transport = route.transport
         transport_start = now + route.pre_transport_delay
+        # The common intra-cluster copy: no filter span, no duplicate and
+        # an uncontended transport, so its whole ledger would be the one
+        # wire span the transport's fixed lane stamps.  A lane-only sink
+        # folds that span from its numbers instead of a built ledger.
+        lane = None
+        if want_hops and not ledger and not route.duplicates \
+                and self._lane_sink is not None:
+            lane = transport.fixed_lane
         first_arrival = math.inf
         for _copy in range(1 + route.duplicates):
-            if want_hops:
+            if want_hops and lane is None:
                 # Each wire copy extends the shared filter spans with its
                 # own transport spans; the list is copied only when a
                 # fault device injected duplicates.
                 copy_ledger: list = list(ledger) if route.duplicates \
                     else ledger
-                transit = route.transport.transit(
+                transit = transport.transit(
                     wire_msg, self.topology, transport_start, self.rng,
-                    ledger=copy_ledger)
+                    copy_ledger)
             else:
                 copy_ledger = None
-                transit = route.transport.transit(
+                transit = transport.transit(
                     wire_msg, self.topology, transport_start, self.rng)
             arrival = transport_start + transit
             if arrival < first_arrival:
@@ -225,9 +249,13 @@ class NetworkFabric:
                 hop_sink.message_hops(
                     now, msg.src_pe, msg.dst_pe, wire_msg.size_bytes,
                     msg.tag, crossed_wan, msg.seq, arrival,
-                    tuple(copy_ledger), relay_hop=msg.relay_hop,
-                    arq_attempt=msg.arq_attempt)
-            stats.record(route.transport.name, wire_msg.size_bytes,
+                    tuple(copy_ledger), msg.relay_hop, msg.arq_attempt)
+            elif lane is not None:
+                self._lane_sink.fold_wire(
+                    lane, transport_start, arrival,
+                    transport.link.serialization_time(wire_msg.size_bytes),
+                    crossed_wan)
+            stats.record(transport.name, wire_msg.size_bytes,
                          route.pre_transport_delay)
             self.in_flight += 1
             if crossed_wan:
@@ -254,12 +282,9 @@ class NetworkFabric:
         """Fire one wire copy's arrival, recording the delivery event."""
         self._land(msg)
         self._tracer.message_delivered(arrival, msg.src_pe, msg.dst_pe,
-                                      wire_bytes, msg.tag,
-                                      msg.crossed_wan, seq=msg.seq,
-                                      cause=msg.cause,
-                                      ack_for=msg.ack_for,
-                                      src_obj=msg.src_obj,
-                                      dst_obj=msg.dst_obj)
+                                       wire_bytes, msg.tag, msg.crossed_wan,
+                                       msg.seq, msg.cause, msg.ack_for,
+                                       msg.src_obj, msg.dst_obj)
         deliver(msg)
 
     def _land(self, msg: Message) -> None:

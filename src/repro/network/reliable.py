@@ -158,6 +158,9 @@ class ReliableTransport:
         self._pending: Dict[int, _Pending] = {}
         self._delivered: Set[int] = set()
         self._rtt: Dict[Tuple[int, int], _RttState] = {}
+        #: The fabric's trace sink, kept current by the fabric.
+        self.tracer: Optional[TraceSink] = None
+        fabric.add_sink_reader(self)
 
     # -- fabric surface delegation ---------------------------------------
 
@@ -169,9 +172,9 @@ class ReliableTransport:
     def topology(self) -> GridTopology:
         return self.fabric.topology
 
-    @property
-    def tracer(self) -> Optional[TraceSink]:
-        return self.fabric.tracer
+    def add_sink_reader(self, reader) -> None:
+        """See :meth:`NetworkFabric.add_sink_reader`."""
+        self.fabric.add_sink_reader(reader)
 
     @property
     def stats(self) -> FabricStats:

@@ -78,6 +78,7 @@ class StripedDevice(TransportDevice):
         self.streams = streams
         self.min_chunk_bytes = min_chunk_bytes
         self.name = f"{link.name}x{streams}"
+        self.fixed_lane = None
         #: Total chunks put on the wire (>= messages_carried).
         self.chunks_sent = 0
         self._directions: Dict[Tuple[int, int], _DirectionState] = {}

@@ -556,8 +556,8 @@ class TimedSink:
     def begin_execute(self, pe, now, chare, entry, sid=None, parent=None,
                       trigger=None, obj=None):
         t0 = self._tick()
-        self.inner.begin_execute(pe, now, chare, entry, sid=sid,
-                                 parent=parent, trigger=trigger, obj=obj)
+        self.inner.begin_execute(pe, now, chare, entry, sid, parent,
+                                 trigger, obj)
         self._tock(t0)
 
     def end_execute(self, pe, now):
@@ -570,8 +570,7 @@ class TimedSink:
                      src_obj=None, dst_obj=None):
         t0 = self._tick()
         self.inner.message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
-                                seq, cause=cause, ack_for=ack_for,
-                                src_obj=src_obj, dst_obj=dst_obj)
+                                seq, cause, ack_for, src_obj, dst_obj)
         self._tock(t0)
 
     def message_delivered(self, now, src_pe, dst_pe, size, tag, crossed_wan,
@@ -579,9 +578,8 @@ class TimedSink:
                           src_obj=None, dst_obj=None):
         t0 = self._tick()
         self.inner.message_delivered(now, src_pe, dst_pe, size, tag,
-                                     crossed_wan, seq, cause=cause,
-                                     ack_for=ack_for,
-                                     src_obj=src_obj, dst_obj=dst_obj)
+                                     crossed_wan, seq, cause, ack_for,
+                                     src_obj, dst_obj)
         self._tock(t0)
 
     def message_dropped(self, now, src_pe, dst_pe, size, tag, crossed_wan,
@@ -589,9 +587,8 @@ class TimedSink:
                         src_obj=None, dst_obj=None):
         t0 = self._tick()
         self.inner.message_dropped(now, src_pe, dst_pe, size, tag,
-                                   crossed_wan, seq, cause=cause,
-                                   ack_for=ack_for,
-                                   src_obj=src_obj, dst_obj=dst_obj)
+                                   crossed_wan, seq, cause, ack_for,
+                                   src_obj, dst_obj)
         self._tock(t0)
 
     def note_retransmit(self):
@@ -609,8 +606,7 @@ class TimedSink:
         t0 = self._tick()
         self.inner.message_hops(now, src_pe, dst_pe, size, tag,
                                 crossed_wan, seq, arrival, hops,
-                                relay_hop=relay_hop,
-                                arq_attempt=arq_attempt)
+                                relay_hop, arq_attempt)
         self._tock(t0)
 
     def close(self):

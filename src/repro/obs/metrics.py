@@ -93,7 +93,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "least", "growth", "_log_growth", "count",
-                 "total", "min", "max", "buckets")
+                 "total", "min", "max", "buckets", "_last", "_last_index")
 
     def __init__(self, name: str, least: float = 1e-9,
                  growth: float = 2.0) -> None:
@@ -111,6 +111,10 @@ class Histogram:
         self.max = -math.inf
         #: bucket index -> sample count; index -1 is the underflow bucket.
         self.buckets: Dict[int, int] = {}
+        #: The previous sample and its bucket: consecutive samples repeat
+        #: heavily (a cost model's grains), and the bucket costs a log.
+        self._last = -1.0
+        self._last_index = 0
 
     def record(self, value: float) -> None:
         if value < 0:
@@ -122,7 +126,10 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        idx = self.bucket_index(value)
+        if value != self._last:
+            self._last = value
+            self._last_index = self.bucket_index(value)
+        idx = self._last_index
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
 
     def record_many(self, value: float, count: int) -> None:

@@ -73,13 +73,13 @@ def fold_from_tracer(tracer: Tracer) -> ObjectFold:
             fold.on_send(ev.size, ev.crossed_wan, local,
                          ev.src_obj, ev.dst_obj)
         elif ev.kind == "deliver":
-            fold.on_deliver(ev.time, ev.seq, ev.size, ev.crossed_wan,
-                            local, ev.dst_obj)
+            fold.on_deliver(ev.time, ev.seq, ev.ack_for, ev.size,
+                            ev.crossed_wan, local, ev.dst_obj)
         else:
             fold.on_drop(ev.src_obj)
     for iv in tracer.intervals:
-        fold.on_begin(iv.start, iv.obj, iv.trigger)
-        fold.on_exec(iv.obj, iv.entry, iv.duration)
+        p = fold.on_begin(iv.start, iv.obj, iv.trigger)
+        fold.on_exec(iv.obj, iv.entry, iv.duration, p)
     return fold
 
 

@@ -262,13 +262,13 @@ class ObjectProfile:
     Execution statistics are stored as ONE ``(entry, duration) ->
     count`` dict (:attr:`entry_grains`) and everything else —
     executions, total compute, exact max grain, the log2 grain
-    histogram, per-entry counts — is *derived* on query.  This is the
-    record-side half of the < 5 % perf-smoke bar: the per-execution hot
-    path is a single dict increment, and the derivations iterate the
-    dict in sorted key order, so they are deterministic and identical
-    between the streaming and batch folds.  A simulator's grain sizes
-    come from its cost model and repeat heavily, so the dict stays
-    O(entry kinds x distinct grains), far below O(executions).
+    histogram, per-entry counts — is *derived* on query.  The
+    per-execution hot path is a single dict increment, and the
+    derivations iterate the dict in sorted key order, so they are
+    deterministic and identical between the streaming and batch
+    folds.  A simulator's grain sizes come from its cost model and
+    repeat heavily, so the dict stays O(entry kinds x distinct
+    grains), far below O(executions).
     """
 
     __slots__ = ("obj", "entry_grains", "queue_wait_s", "queue_waits",
@@ -445,177 +445,107 @@ class ObjectFold:
     """Shared per-object fold behind the Projections object view.
 
     Like :func:`fold_hops` for lanes, this is the *single* fold both
-    recorders drive: :class:`TraceAggregator` records events into this
-    fold as it goes (see the buffer protocol below), and
-    :func:`repro.obs.objview.fold_from_tracer` replays a batch
-    :class:`Tracer`'s stored streams through the same hooks.  Every
-    per-object float accumulator is updated in the same per-object order
-    on both paths (a chare's begin/end events are totally ordered, and
-    message counters are integers), so the two folds are **bit
-    identical** — hypothesis-tested in
+    recorders drive: :class:`TraceAggregator` calls the hooks online,
+    event by event, and :func:`repro.obs.objview.fold_from_tracer`
+    replays a batch :class:`Tracer`'s stored streams through the same
+    hooks.  Every per-object float accumulator is updated in the same
+    per-object order on both paths (a chare's executions are totally
+    ordered, and message counters are integers), so the two folds are
+    **bit identical** — hypothesis-tested in
     ``tests/property/test_objview_streaming.py``.
 
-    The hooks' fold work is *not* performed per event on the live path:
-    :class:`TraceAggregator` appends one small tuple per relevant event
-    to :attr:`_buf` (a single ``list.append``, the cheapest record the
-    runtime can make — the perf-smoke bar holds the whole fold under
-    5 % marginal wall-clock cost over stats-only aggregation) and the
-    buffered stream is replayed through the reference hooks by
-    :meth:`_drain` the first time anyone asks for :attr:`profiles` or
-    :attr:`matrix`.  Replay preserves record order, so the result is
-    the same fold the hooks would have produced event by event.
-
-    Buffer protocol (first element tags the hook; the rest are its
-    positional arguments in order)::
-
-        (0, now, obj, trigger)                         -> on_begin
-        (1, obj, entry, duration)                      -> on_exec
-        (2, size, crossed_wan, local, src_obj, dst_obj)-> on_send
-        (3, now, seq, size, crossed_wan, local, dst_obj)-> on_deliver
-        (4, src_obj)                                   -> on_drop
-
-    The recorder applies each hook's cheap early-out *before*
-    appending (e.g. no tuple for an unlabelled execution), and feeds
-    :attr:`window_max_grain_s` inline at record time so the telemetry
-    sampler's :meth:`harvest_window` never forces a drain mid-run.
-
-    Folded memory is O(objects + distinct (entry, grain) pairs +
-    comm-matrix nonzeros); the undrained buffer adds O(events since the
-    last profile query).  Long monitoring runs that want the buffer
-    bounded can call :meth:`flush` at any checkpoint — draining is
-    idempotent and never perturbs the fold's semantics.
+    No per-event record is kept: memory is O(objects + distinct
+    (entry, grain) pairs + comm-matrix nonzeros + deliveries not yet
+    consumed by their execution).  Ack deliveries (``ack_for`` set)
+    never trigger an execution, so they are not parked for queue-wait
+    pairing.  The fold's cost is paid per event inside the run; the
+    perf-smoke object-fold bar measures it against stats-only
+    aggregation.
     """
 
-    __slots__ = ("_profiles", "_matrix", "_buf", "_pending",
+    __slots__ = ("profiles", "matrix", "_pending",
                  "window_max_grain_s", "window_max_grain_obj")
 
     def __init__(self) -> None:
-        #: obj label -> profile (access via :attr:`profiles`).
-        self._profiles: Dict[str, ObjectProfile] = {}
-        #: (src_obj, dst_obj) -> matrix cell (access via :attr:`matrix`).
-        self._matrix: Dict[Tuple[str, str], CommEdge] = {}
-        #: Recorded-but-not-yet-folded events (see the buffer protocol
-        #: in the class docstring).  :class:`TraceAggregator` appends
-        #: to this directly on its hot path.
-        self._buf: List[tuple] = []
+        #: obj label -> profile.
+        self.profiles: Dict[str, ObjectProfile] = {}
+        #: (src_obj, dst_obj) -> matrix cell.
+        self.matrix: Dict[Tuple[str, str], CommEdge] = {}
         #: seq -> delivery time(s) not yet consumed by a triggered
         #: execution (queue-wait pairing).  A bare float for the common
         #: single-copy case, promoted to a FIFO list only when a second
         #: copy of the same seq arrives before the first is consumed.
         self._pending: Dict[int, object] = {}
         #: Largest single-execution grain since the last
-        #: :meth:`harvest_window` (telemetry/watchdog feed, updated at
-        #: *record* time by the aggregator; not part of the profile
-        #: state the bit-identity tests compare).
+        #: :meth:`harvest_window` (telemetry/watchdog feed; not part of
+        #: the profile state the bit-identity tests compare).
         self.window_max_grain_s = 0.0
         self.window_max_grain_obj: Optional[str] = None
-
-    @property
-    def profiles(self) -> Dict[str, ObjectProfile]:
-        """obj label -> profile, with any buffered events folded in."""
-        if self._buf:
-            self._drain()
-        return self._profiles
-
-    @property
-    def matrix(self) -> Dict[Tuple[str, str], CommEdge]:
-        """(src_obj, dst_obj) -> cell, with buffered events folded in."""
-        if self._buf:
-            self._drain()
-        return self._matrix
-
-    def _drain(self) -> None:
-        """Replay the record buffer through the reference hooks."""
-        buf = self._buf
-        on_begin = self.on_begin
-        on_exec = self.on_exec
-        on_send = self.on_send
-        on_deliver = self.on_deliver
-        on_drop = self.on_drop
-        for ev in buf:
-            tag = ev[0]
-            if tag == 1:
-                on_exec(ev[1], ev[2], ev[3])
-            elif tag == 3:
-                on_deliver(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6])
-            elif tag == 2:
-                on_send(ev[1], ev[2], ev[3], ev[4], ev[5])
-            elif tag == 0:
-                on_begin(ev[1], ev[2], ev[3])
-            else:
-                on_drop(ev[1])
-        buf.clear()
-
-    def flush(self) -> None:
-        """Fold any buffered events now (bounds buffer memory)."""
-        if self._buf:
-            self._drain()
-
-    def _prof(self, obj: str) -> ObjectProfile:
-        p = self._profiles.get(obj)
-        if p is None:
-            p = self._profiles[obj] = ObjectProfile(obj)
-        return p
 
     # -- recording hooks -------------------------------------------------
 
     def on_begin(self, now: float, obj: Optional[str],
-                 trigger: Optional[int]) -> None:
+                 trigger: Optional[int]) -> Optional[ObjectProfile]:
         """An execution began; pair it with its trigger's delivery.
 
         The pending delivery for *trigger* is popped even when the
         execution has no object label (``<rts>`` work), keeping the
-        FIFO pairing aligned between both folds.
+        FIFO pairing aligned between both folds.  Returns *obj*'s
+        profile when the pairing looked it up, for :meth:`on_exec`.
         """
         if trigger is None:
-            return
+            return None
         cur = self._pending.pop(trigger, None)
         if cur is None:
-            return
+            return None
         if type(cur) is list:
             delivered = cur.pop(0)
             if cur:
                 self._pending[trigger] = cur
         else:
             delivered = cur
-        if obj is not None:
-            try:
-                p = self._profiles[obj]
-            except KeyError:
-                p = self._profiles[obj] = ObjectProfile(obj)
-            p.queue_wait_s += now - delivered
-            p.queue_waits += 1
+        if obj is None:
+            return None
+        try:
+            p = self.profiles[obj]
+        except KeyError:
+            p = self.profiles[obj] = ObjectProfile(obj)
+        p.queue_wait_s += now - delivered
+        p.queue_waits += 1
+        return p
 
-    def on_exec(self, obj: Optional[str], entry: str,
-                duration: float) -> None:
+    def on_exec(self, obj: Optional[str], entry: str, duration: float,
+                p: Optional[ObjectProfile] = None) -> None:
         """An execution of *duration* seconds completed on *obj*.
 
-        The grain window (:attr:`window_max_grain_s`) is deliberately
-        *not* updated here: it is an online telemetry channel fed at
-        record time by :class:`TraceAggregator`, so a deferred drain
-        cannot resurrect grains a sampler already harvested.
+        *p* is the profile :meth:`on_begin` returned for the same
+        execution, if any, so the profile is looked up once.
         """
         if obj is None:
             return
-        try:
-            p = self._profiles[obj]
-        except KeyError:
-            p = self._profiles[obj] = ObjectProfile(obj)
+        if p is None:
+            try:
+                p = self.profiles[obj]
+            except KeyError:
+                p = self.profiles[obj] = ObjectProfile(obj)
         key = (entry, duration)
         grains = p.entry_grains
         try:
             grains[key] += 1
         except KeyError:
             grains[key] = 1
+        if duration > self.window_max_grain_s:
+            self.window_max_grain_s = duration
+            self.window_max_grain_obj = obj
 
     def on_send(self, size: int, crossed_wan: bool, local: bool,
                 src_obj: Optional[str], dst_obj: Optional[str]) -> None:
         if src_obj is None:
             return
         try:
-            p = self._profiles[src_obj]
+            p = self.profiles[src_obj]
         except KeyError:
-            p = self._profiles[src_obj] = ObjectProfile(src_obj)
+            p = self.profiles[src_obj] = ObjectProfile(src_obj)
         if crossed_wan:
             p.msgs_sent_wan += 1
             p.bytes_sent_wan += size
@@ -628,34 +558,33 @@ class ObjectFold:
         if dst_obj is not None:
             key = (src_obj, dst_obj)
             try:
-                cell = self._matrix[key]
+                cell = self.matrix[key]
             except KeyError:
-                cell = self._matrix[key] = CommEdge(src_obj, dst_obj)
+                cell = self.matrix[key] = CommEdge(src_obj, dst_obj)
             cell.messages += 1
             cell.bytes += size
             if crossed_wan:
                 cell.wan_messages += 1
                 cell.wan_bytes += size
 
-    def on_deliver(self, now: float, seq: Optional[int], size: int,
-                   crossed_wan: bool, local: bool,
-                   dst_obj: Optional[str]) -> None:
-        if seq is not None:
+    def on_deliver(self, now: float, seq: Optional[int],
+                   ack_for: Optional[int], size: int, crossed_wan: bool,
+                   local: bool, dst_obj: Optional[str]) -> None:
+        if seq is not None and ack_for is None:
             pending = self._pending
-            if seq in pending:
-                cur = pending[seq]
-                if type(cur) is list:
-                    cur.append(now)
-                else:
-                    pending[seq] = [cur, now]
-            else:
+            cur = pending.get(seq)
+            if cur is None:
                 pending[seq] = now
+            elif type(cur) is list:
+                cur.append(now)
+            else:
+                pending[seq] = [cur, now]
         if dst_obj is None:
             return
         try:
-            p = self._profiles[dst_obj]
+            p = self.profiles[dst_obj]
         except KeyError:
-            p = self._profiles[dst_obj] = ObjectProfile(dst_obj)
+            p = self.profiles[dst_obj] = ObjectProfile(dst_obj)
         if crossed_wan:
             p.msgs_recv_wan += 1
             p.bytes_recv_wan += size
@@ -667,8 +596,13 @@ class ObjectFold:
             p.bytes_recv_lan += size
 
     def on_drop(self, src_obj: Optional[str]) -> None:
-        if src_obj is not None:
-            self._prof(src_obj).drops += 1
+        if src_obj is None:
+            return
+        try:
+            p = self.profiles[src_obj]
+        except KeyError:
+            p = self.profiles[src_obj] = ObjectProfile(src_obj)
+        p.drops += 1
 
     # -- queries ---------------------------------------------------------
 
@@ -822,9 +756,8 @@ class TraceFanout:
                       parent: Optional[int] = None,
                       trigger: Optional[int] = None,
                       obj: Optional[str] = None) -> None:
-        self._fanout(lambda s: s.begin_execute(pe, now, chare, entry,
-                                               sid=sid, parent=parent,
-                                               trigger=trigger, obj=obj))
+        self._fanout(lambda s: s.begin_execute(pe, now, chare, entry, sid,
+                                               parent, trigger, obj))
 
     def end_execute(self, pe: int, now: float) -> None:
         self._fanout(lambda s: s.end_execute(pe, now))
@@ -837,10 +770,8 @@ class TraceFanout:
                      src_obj: Optional[str] = None,
                      dst_obj: Optional[str] = None) -> None:
         self._fanout(lambda s: s.message_sent(now, src_pe, dst_pe, size,
-                                              tag, crossed_wan, seq,
-                                              cause=cause, ack_for=ack_for,
-                                              src_obj=src_obj,
-                                              dst_obj=dst_obj))
+                                              tag, crossed_wan, seq, cause,
+                                              ack_for, src_obj, dst_obj))
 
     def message_delivered(self, now: float, src_pe: int, dst_pe: int,
                           size: int, tag: str, crossed_wan: bool,
@@ -851,10 +782,8 @@ class TraceFanout:
                           dst_obj: Optional[str] = None) -> None:
         self._fanout(lambda s: s.message_delivered(now, src_pe, dst_pe,
                                                    size, tag, crossed_wan,
-                                                   seq, cause=cause,
-                                                   ack_for=ack_for,
-                                                   src_obj=src_obj,
-                                                   dst_obj=dst_obj))
+                                                   seq, cause, ack_for,
+                                                   src_obj, dst_obj))
 
     def message_dropped(self, now: float, src_pe: int, dst_pe: int,
                         size: int, tag: str, crossed_wan: bool,
@@ -865,10 +794,8 @@ class TraceFanout:
                         dst_obj: Optional[str] = None) -> None:
         self._fanout(lambda s: s.message_dropped(now, src_pe, dst_pe, size,
                                                  tag, crossed_wan, seq,
-                                                 cause=cause,
-                                                 ack_for=ack_for,
-                                                 src_obj=src_obj,
-                                                 dst_obj=dst_obj))
+                                                 cause, ack_for, src_obj,
+                                                 dst_obj))
 
     def note_retransmit(self) -> None:
         self._fanout(lambda s: s.note_retransmit())
@@ -884,7 +811,7 @@ class TraceFanout:
         # never see hop events; everything else fans out as usual.
         self._fanout(lambda s: s.message_hops(
             now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
-            hops, relay_hop=relay_hop, arq_attempt=arq_attempt)
+            hops, relay_hop, arq_attempt)
             if hasattr(s, "message_hops") else None)
 
     def close(self) -> None:
@@ -1320,11 +1247,12 @@ class TraceAggregator:
     same event stream (property-tested in
     ``tests/property/test_trace_streaming.py``).
 
-    The only state that scales beyond O(PEs + entry kinds) is the
-    per-message bookkeeping the semantics require: windows currently in
-    flight, and the set of already-delivered sequence ids (small ints)
-    that suppresses duplicate deliveries — the same information the
-    reliable transport itself must keep to deduplicate.
+    The only state that scales beyond O(PEs + entry kinds + lanes +
+    objects + matrix edges) is the per-message bookkeeping the semantics
+    require: windows currently in flight, deliveries whose execution
+    has not yet run, and the set of already-delivered WAN sequence ids
+    (small ints) that suppresses duplicate deliveries — the same
+    information the reliable transport itself must keep to deduplicate.
 
     Relies on the engine's monotonic virtual clock: recording calls
     arrive in non-decreasing time order (true for anything driven by
@@ -1340,9 +1268,11 @@ class TraceAggregator:
     objects:
         Fold per-object profiles and the object x object communication
         matrix online (default on; an :class:`ObjectFold` at
-        :attr:`objview`).  Off saves the per-event object bookkeeping
-        for stats-only sweeps (the perf-smoke bar holds the fold's
-        overhead under 5 %).
+        :attr:`objview`, in O(objects + distinct grains + matrix edges
+        + deliveries not yet consumed by their execution) memory).  Off
+        saves the per-event object bookkeeping for stats-only sweeps;
+        perf-smoke's object-fold bar measures that bookkeeping against
+        them.
     """
 
     def __init__(self, metrics: Optional["MetricsRegistry"] = None,
@@ -1351,18 +1281,15 @@ class TraceAggregator:
         #: Streaming per-object fold (``None`` when ``objects=False``).
         self.objview: Optional[ObjectFold] = ObjectFold() if objects \
             else None
-        # Pre-bound append onto the fold's record buffer: the per-event
-        # record is a single call through this binding.  Valid for the
-        # aggregator's lifetime because ObjectFold._drain empties the
-        # buffer in place (list.clear) rather than replacing it.
-        self._ov_record = None if self.objview is None \
-            else self.objview._buf.append
-        self._open_exec: Dict[int, Tuple[float, str, str,
-                                         Optional[str]]] = {}
+        #: pe -> (start, chare, entry, obj, profile from
+        #: ObjectFold.on_begin) of its open execution.
+        self._open_exec: Dict[int, Tuple[float, str, str, Optional[str],
+                                         Optional[ObjectProfile]]] = {}
         self._usage: Dict[int, PeUsage] = {}
         self._profiles: Dict[Tuple[str, str], EntryProfile] = {}
-        self._t_min: Optional[float] = None
-        self._t_max: Optional[float] = None
+        #: Earliest start / latest end of a finished execution.
+        self._t_min = math.inf
+        self._t_max = -math.inf
         # Message counters.
         self.sends = 0
         self.delivers = 0
@@ -1406,32 +1333,20 @@ class TraceAggregator:
         if pe in self._open_exec:
             raise ValueError(
                 f"PE {pe} already executing {self._open_exec[pe]!r}")
-        self._open_exec[pe] = (now, chare, entry, obj)
-        rec = self._ov_record
-        if rec is not None and trigger is not None:
-            # Fold work is deferred: recording is one buffered append
-            # (see the ObjectFold buffer protocol); the fold replays the
-            # buffer through its reference hooks on first query.
-            rec((0, now, obj, trigger))
+        ov = self.objview
+        p = ov.on_begin(now, obj, trigger) if ov is not None else None
+        self._open_exec[pe] = (now, chare, entry, obj, p)
 
     def end_execute(self, pe: int, now: float) -> None:
         if not self.enabled:
             return
         try:
-            start, chare, entry, obj = self._open_exec.pop(pe)
+            start, chare, entry, obj, p = self._open_exec.pop(pe)
         except KeyError:
             raise ValueError(f"PE {pe} has no open execution interval")
         duration = now - start
-        rec = self._ov_record
-        if rec is not None and obj is not None:
-            # Deferred fold (see begin_execute's note).  The grain
-            # window alone is fed inline: the telemetry sampler harvests
-            # it mid-run, so it cannot wait for a drain.
-            rec((1, obj, entry, duration))
-            ov = self.objview
-            if duration > ov.window_max_grain_s:
-                ov.window_max_grain_s = duration
-                ov.window_max_grain_obj = obj
+        if self.objview is not None:
+            self.objview.on_exec(obj, entry, duration, p)
         usage = self._usage.get(pe)
         if usage is None:
             usage = self._usage[pe] = PeUsage(pe)
@@ -1443,9 +1358,9 @@ class TraceAggregator:
             prof = self._profiles[key] = EntryProfile(chare, entry)
         prof.calls += 1
         prof.total_time += duration
-        if self._t_min is None or start < self._t_min:
+        if start < self._t_min:
             self._t_min = start
-        if self._t_max is None or now > self._t_max:
+        if now > self._t_max:
             self._t_max = now
         # Credit this execution to every WAN window open on this PE: the
         # interval [start, now] overlaps window w on [max(start, w.send),
@@ -1477,11 +1392,9 @@ class TraceAggregator:
             return
         self.sends += 1
         self.bytes_sent += size
-        rec = self._ov_record
-        if rec is not None and src_obj is not None:
-            # Deferred fold (see begin_execute's note).
-            rec((2, size, crossed_wan, src_pe == dst_pe,
-                 src_obj, dst_obj))
+        if self.objview is not None:
+            self.objview.on_send(size, crossed_wan, src_pe == dst_pe,
+                                 src_obj, dst_obj)
         if not crossed_wan:
             return
         self.wan_sends += 1
@@ -1509,11 +1422,9 @@ class TraceAggregator:
         if not self.enabled:
             return
         self.delivers += 1
-        rec = self._ov_record
-        if rec is not None and (seq is not None or dst_obj is not None):
-            # Deferred fold (see begin_execute's note).
-            rec((3, now, seq, size, crossed_wan,
-                 src_pe == dst_pe, dst_obj))
+        if self.objview is not None:
+            self.objview.on_deliver(now, seq, ack_for, size, crossed_wan,
+                                    src_pe == dst_pe, dst_obj)
         if not crossed_wan:
             return
         self.wan_delivers += 1
@@ -1557,9 +1468,8 @@ class TraceAggregator:
         if not self.enabled:
             return
         self.drops += 1
-        rec = self._ov_record
-        if rec is not None and src_obj is not None:
-            rec((4, src_obj))
+        if self.objview is not None:
+            self.objview.on_drop(src_obj)
         if crossed_wan:
             self.wan_drops += 1
 
@@ -1585,6 +1495,29 @@ class TraceAggregator:
             return
         fold_hops(self._links, hops, crossed_wan)
 
+    def fold_wire(self, lane: str, enqueue: float, arrive: float,
+                  ser_s: float, crossed_wan: bool) -> None:
+        """Fold a wire copy whose ledger is one fixed span, unbuilt.
+
+        Gives exactly the sums :meth:`message_hops` gives for the ledger
+        ``(HopSpan(lane, lane, "wire", enqueue, enqueue, arrive,
+        ser_s),)``.  That span waits 0.0 s at queue depth 0; adding 0.0
+        to a non-negative sum leaves it unchanged, so ``queue_s`` is not
+        touched.  The fabric calls this only while the sink is enabled.
+        """
+        u = self._links.get(lane)
+        if u is None:
+            u = self._links[lane] = LinkUsage(lane=lane, link=lane)
+        u.crossings += 1
+        u.busy_s += ser_s
+        u.flight_s += arrive - enqueue
+        counts = u.depth_counts
+        if counts is None:
+            counts = u.depth_counts = {}
+        counts[0] = counts.get(0, 0) + 1
+        if crossed_wan:
+            u.wan = True
+
     # -- analysis --------------------------------------------------------
 
     def link_usage(self) -> Dict[str, LinkUsage]:
@@ -1593,7 +1526,7 @@ class TraceAggregator:
 
     def makespan(self) -> float:
         """Virtual time spanned by the completed execution intervals."""
-        if self._t_min is None or self._t_max is None:
+        if self._t_max < self._t_min:  # no finished execution yet
             return 0.0
         return self._t_max - self._t_min
 

@@ -1,10 +1,13 @@
 """Invariants of the per-message hot path, independent of Python version.
 
-The send path relies on three things being computed once rather than
-per message: canonical chare ids (dict lookups hit the identity fast
-path), per-pair route plans (static devices are not re-asked), and the
-fabric's cached "does the sink take hop ledgers" decision.  These tests
-observe each one directly during a stats-on stencil run.
+The send path relies on things being computed once rather than per
+message: canonical chare ids (dict lookups hit the identity fast path),
+per-pair route plans (static devices are not re-asked), the fabric's
+cached "does the sink take hop ledgers" decision and the sink itself,
+which every layer reads as a plain attribute.  A lane-only sink takes
+a copy whose ledger would be one fixed span as numbers, and must end
+with the sums built ledgers give.  These tests observe each one
+directly during a stats-on stencil run.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import pytest
 
 from repro.apps.stencil import StencilApp
 from repro.core.ids import ChareID
-from repro.grid.presets import artificial_latency_env
+from repro.grid.presets import artificial_latency_env, lossy_wan_env
 from repro.network.chain import DeviceChain
 from repro.network.delay import DelayDevice
 from repro.network.devices import TransportDevice
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceAggregator, Tracer
 from repro.units import ms
 
 
@@ -161,3 +164,39 @@ def test_unknown_element_still_fails_on_use():
     assert proxy.chare_id == ChareID(coll, (99, 99))
     with pytest.raises(UnknownChareError):
         proxy.ghost(0, "north", None)
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda **kw: artificial_latency_env(8, ms(2), **kw),
+    lambda **kw: artificial_latency_env(8, ms(2), routing="hierarchical",
+                                        wan_streams=2, **kw),
+    lambda **kw: lossy_wan_env(8, ms(2), **kw),
+], ids=["flat", "striped", "lossy"])
+def test_lane_only_sink_matches_built_ledgers(monkeypatch, make_env):
+    """Copies a lane-only sink folds from their numbers give the same
+    per-lane sums, in the same lane order, as built ledgers."""
+    folded = []
+    original = TraceAggregator.fold_wire
+
+    def spy(self, *args):
+        folded.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(TraceAggregator, "fold_wire", spy)
+    stats = make_env()
+    _stencil(stats)
+    traced = make_env(stats=False, trace=True)
+    _stencil(traced)
+    assert folded
+    lanes, built = stats.aggregator.link_usage(), traced.tracer.link_summary()
+    assert list(lanes) == list(built)
+    assert lanes == built
+
+
+def test_sink_is_a_plain_attribute_on_every_layer():
+    env = lossy_wan_env(8, ms(2))
+    for layer in (env.runtime, env.transport):
+        assert "tracer" in vars(layer)
+        assert layer.tracer is env.fabric.tracer is env.aggregator
+    env.fabric.tracer = None
+    assert env.runtime.tracer is None and env.transport.tracer is None

@@ -1,0 +1,84 @@
+"""Default observability keeps fixed memory.
+
+With stats on (the library default) the streaming aggregator folds every
+event into per-PE, per-lane and per-object state as it arrives, so what
+it retains is proportional to the machine and the objects, not to the
+number of events.  These tests run the same configuration for different
+lengths and compare what the aggregator still holds.
+"""
+
+from __future__ import annotations
+
+import inspect
+import tracemalloc
+from collections import Counter
+
+from repro.apps.stencil import StencilApp
+from repro.grid.presets import artificial_latency_env, lossy_wan_env
+from repro.obs.objview import fold_from_tracer
+from repro.sim.trace import TraceAggregator
+from repro.units import ms
+
+#: Growth allowed between a 4-step and a 16-step 8-PE x 64-object run.
+#: What still grows is per-WAN-message duplicate suppression (one id per
+#: delivered WAN message) and the few grain values float rounding adds
+#: as virtual time advances: tens of kB.  Buffering every labelled event
+#: retained about 0.9 MB more for the 12 extra steps.
+GROWTH_BOUND_BYTES = 128 * 1024
+
+
+def _aggregator_bytes(steps: int) -> int:
+    """Bytes allocated in the aggregator's module and alive after a run."""
+    env = artificial_latency_env(8, ms(2))
+    app = StencilApp(env, mesh=(512, 512), objects=64, payload="modeled",
+                     seed=0)
+    tracemalloc.start()
+    try:
+        app.run(steps)
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert env.aggregator.objview.profiles  # the fold is live
+    module = inspect.getsourcefile(TraceAggregator)
+    traces = snap.filter_traces([tracemalloc.Filter(True, module)])
+    return sum(stat.size for stat in traces.statistics("filename"))
+
+
+def test_aggregator_memory_does_not_grow_with_run_length():
+    short, long = _aggregator_bytes(4), _aggregator_bytes(16)
+    assert long - short < GROWTH_BOUND_BYTES, (short, long)
+
+
+def _stencil(env, steps=4):
+    StencilApp(env, mesh=(128, 128), objects=32, payload="modeled",
+               seed=0).run(steps)
+    return env
+
+
+def test_ack_deliveries_are_not_parked_for_queue_wait():
+    """Acks never trigger an execution, so neither fold parks them."""
+    env = _stencil(lossy_wan_env(8, ms(2), trace=True))
+    delivered = Counter(ev.seq for ev in env.tracer.messages
+                        if ev.kind == "deliver")
+    acks = {ev.seq for ev in env.tracer.messages
+            if ev.kind == "deliver" and ev.ack_for is not None}
+    assert acks
+    live, replay = env.aggregator.objview, fold_from_tracer(env.tracer)
+    assert live.to_dict() == replay.to_dict()
+    for fold in (live, replay):
+        parked = set(fold._pending)
+        assert not acks & parked
+        # What is left is surplus copies of data messages the reliable
+        # layer suppressed as duplicates.
+        assert all(delivered[seq] > 1 for seq in parked)
+    assert set(live._pending) == set(replay._pending)
+
+
+def test_queue_wait_table_empty_after_lossy_run_without_duplicates():
+    env = _stencil(lossy_wan_env(8, ms(2), loss=0.0, duplication=0.0,
+                                 reordering=0.2))
+    assert env.transport.rstats.acks_sent > 0
+    assert env.transport.rstats.dups_suppressed == 0
+    fold = env.aggregator.objview
+    assert fold.profiles
+    assert fold._pending == {}

@@ -47,6 +47,21 @@ def test_db_comm_records():
     assert rec.wan_messages == 1
 
 
+def test_db_builds_one_comm_record_per_pair(monkeypatch):
+    import repro.core.loadbalance.metrics as lbm
+    built = []
+    original = lbm.CommRecord
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(lbm, "CommRecord", counting)
+    db = make_db({}, [(0, 1, False)] * 5 + [(1, 0, True)])
+    assert len(built) == 2
+    assert db.comm[(cid(0), cid(1))].messages == 5
+
+
 def test_db_driver_sends_ignored():
     db = LBDatabase()
     db.record_send(None, cid(1), 100, True)
