@@ -26,7 +26,7 @@ from repro.apps.leanmd.geometry import CellGrid, CellIndex, PairIndex
 from repro.apps.leanmd.integrator import integrate, kinetic_energy
 from repro.apps.leanmd.system import CellState, MdParams
 from repro.core.chare import Chare
-from repro.core.collectives import group_targets_by_pe
+from repro.core.collectives import group_targets_by_pe, send_grouped
 from repro.core.method import entry
 from repro.errors import ConfigurationError
 
@@ -137,14 +137,16 @@ class Cell(Chare):
 
     def _multicast_coords(self) -> None:
         rts = self._require_rts()
-        groups = group_targets_by_pe(rts, self._section._collection,
-                                     self.my_pairs)
+        # Group once: the grouping prices the multicast and routes it.
+        section = self._section
+        groups = group_targets_by_pe(rts, section._collection,
+                                     section._indices)
         self.charge(self.config.costs.multicast_cost(len(groups)))
         payload = (self.positions.copy()
                    if self.config.payload == "real" else None)
-        self._section.coords(
-            self.step, self.cidx, payload,
-            _size=self.natoms * 24 + 64, _tag=f"coords s{self.step}")
+        send_grouped(rts, section._collection, "coords",
+                     groups, (self.step, self.cidx, payload), {},
+                     self.natoms * 24 + 64, None, f"coords s{self.step}")
 
     def _integrate_step(self) -> None:
         cfg = self.config

@@ -100,7 +100,10 @@ class Chare:
         real work" to the simulator; the PE stays busy for the charged
         time and messages sent by the method depart when it finishes.
         """
-        self._require_rts().charge(seconds)
+        rts = self._rts
+        if rts is None:
+            rts = self._require_rts()  # raises: not registered yet
+        rts.charge(seconds)
 
     def contribute(self, value: Any, op: str, target) -> None:
         """Contribute *value* to the current reduction over the collection.

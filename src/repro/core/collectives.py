@@ -51,10 +51,17 @@ def bundle_size(args: tuple, kwargs: dict, num_targets: int) -> int:
 def group_targets_by_pe(rts: "Runtime", collection: int,
                         indices: Sequence[Index]) -> Dict[int, List[Index]]:
     """Group element indices by their current host PE (sorted, stable)."""
+    mapping = rts._collection(collection).mapping
     groups: Dict[int, List[Index]] = {}
     for idx in indices:
-        pe = rts.pe_of(rts.chare_id(collection, idx))
-        groups.setdefault(pe, []).append(idx)
+        pe = mapping.get(idx)
+        if pe is None:  # reports the unknown element
+            pe = rts.pe_of(rts.chare_id(collection, idx))
+        group = groups.get(pe)
+        if group is None:
+            groups[pe] = [idx]
+        else:
+            group.append(idx)
     for lst in groups.values():
         lst.sort()
     return groups
@@ -73,8 +80,7 @@ def _dispatch_group(rts: "Runtime", collection: int, entry: str,
         args, kwargs, len(targets))
     rts._dispatch_payload(
         dst_pe=pe, payload=Bundle(invocations), size=wire,
-        priority=priority, tag=tag, entry_hint=entry,
-        collection_hint=collection, relay_hop=relay_hop)
+        priority=priority, tag=tag, relay_hop=relay_hop)
 
 
 def send_bundled(rts: "Runtime", collection: int, entry: str,
@@ -84,7 +90,18 @@ def send_bundled(rts: "Runtime", collection: int, entry: str,
     """Send bundles covering *indices*: one per destination PE (flat
     routing) or one per remote cluster plus local bundles (hierarchical
     routing, see the module docstring)."""
-    groups = group_targets_by_pe(rts, collection, indices)
+    send_grouped(rts, collection, entry,
+                 group_targets_by_pe(rts, collection, indices), args,
+                 kwargs, size, priority, tag)
+
+
+def send_grouped(rts: "Runtime", collection: int, entry: str,
+                 groups: Dict[int, List[Index]], args: tuple, kwargs: dict,
+                 size: Optional[int], priority: Optional[int],
+                 tag: Optional[str]) -> None:
+    """:func:`send_bundled` for targets already grouped by
+    :func:`group_targets_by_pe` (a caller that needs the grouping itself
+    groups once)."""
     if rts.config.collective_routing == "hierarchical" and len(groups) > 1:
         _send_hierarchical(rts, collection, entry, groups, args, kwargs,
                            size, priority, tag or entry)
@@ -130,8 +147,7 @@ def _send_hierarchical(rts: "Runtime", collection: int, entry: str,
                              args=args, kwargs=kwargs,
                              groups=cluster_groups, size=size,
                              priority=priority, tag=tag, hop=1),
-            size=wire, priority=priority, tag=tag, entry_hint=entry,
-            collection_hint=collection, relay_hop=1)
+            size=wire, priority=priority, tag=tag, relay_hop=1)
 
 
 def process_relay(rts: "Runtime", pe: int, relay: RelayMsg) -> None:
@@ -169,7 +185,6 @@ def process_relay(rts: "Runtime", pe: int, relay: RelayMsg) -> None:
                              size=relay.size, priority=relay.priority,
                              tag=relay.tag, hop=relay.hop + 1),
             size=wire, priority=relay.priority, tag=relay.tag,
-            entry_hint=relay.entry, collection_hint=relay.collection,
             relay_hop=relay.hop + 1)
 
 

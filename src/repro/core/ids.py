@@ -24,7 +24,7 @@ def normalize_index(index) -> Index:
     ``arr[1, 2]`` and ``arr[(1, 2)]``.
     """
     if isinstance(index, tuple):
-        return tuple(int(i) for i in index)
+        return tuple(map(int, index))
     return (int(index),)
 
 

@@ -114,7 +114,10 @@ class ArrayProxy:
         return ChareProxy(self._rts, self._rts.chare_id(self._collection, idx))
 
     def __getitem__(self, index) -> ChareProxy:
-        return self.elem(index)
+        # ``elem`` inlined: element access is on the per-send path.
+        rts = self._rts
+        return ChareProxy(rts, rts.chare_id(self._collection,
+                                            normalize_index(index)))
 
     def section(self, indices: Sequence) -> "SectionProxy":
         """A multicast section over the given element indices."""

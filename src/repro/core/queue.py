@@ -40,7 +40,9 @@ class MessageQueue:
         self._fifo: Deque[Message] = deque()
         self._heap: List[tuple] = []
         self._arrival = itertools.count()
-        self._size = 0
+        #: Messages queued now (``len(queue)``); a plain attribute so
+        #: the scheduler's per-message checks need no method call.
+        self.size = 0
         #: Largest queue depth ever reached (telemetry gauge: a deep
         #: high-water mark means arrivals outran the scheduler).
         self.high_water = 0
@@ -52,9 +54,9 @@ class MessageQueue:
             heapq.heappush(self._heap, (key, msg))
         else:
             self._fifo.append(msg)
-        self._size += 1
-        if self._size > self.high_water:
-            self.high_water = self._size
+        self.size += 1
+        if self.size > self.high_water:
+            self.high_water = self.size
 
     def pop(self) -> Message:
         """Dequeue the next message to execute.
@@ -68,7 +70,7 @@ class MessageQueue:
             _key, msg = heapq.heappop(self._heap)
         else:
             msg = self._fifo.popleft()
-        self._size -= 1
+        self.size -= 1
         return msg
 
     def peek(self) -> Optional[Message]:
@@ -78,10 +80,10 @@ class MessageQueue:
         return self._fifo[0] if self._fifo else None
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return self.size > 0
 
     def drain(self) -> List[Message]:
         """Remove and return all queued messages in dequeue order.

@@ -140,6 +140,8 @@ class Runtime:
         reset_seq_counter()
         self.engine = engine
         self.fabric = fabric
+        #: The machine layout (the fabric's; it never changes).
+        self.topology: GridTopology = fabric.topology
         #: The fabric's trace sink, kept current by the fabric.
         self.tracer: Optional[TraceSink] = None
         fabric.add_sink_reader(self)
@@ -164,10 +166,6 @@ class Runtime:
         self._declared_prio: Dict[Tuple[int, str], Optional[int]] = {}
 
     # -- basic accessors -------------------------------------------------------
-
-    @property
-    def topology(self) -> GridTopology:
-        return self.fabric.topology
 
     @property
     def now(self) -> float:
@@ -316,7 +314,12 @@ class Runtime:
              size: Optional[int] = None, priority: Optional[int] = None,
              tag: Optional[str] = None) -> None:
         """Asynchronously invoke ``target.entry(*args, **kwargs)``."""
-        dst_pe = self.pe_of(target)
+        # ``pe_of`` inlined for the common case; it still reports
+        # unknown chares.
+        coll = self._collections.get(target.collection)
+        dst_pe = None if coll is None else coll.mapping.get(target.index)
+        if dst_pe is None:
+            dst_pe = self.pe_of(target)
         if priority is None:
             priority = self._default_priority(target, entry, dst_pe)
         wire = size if size is not None else invocation_bytes(args, kwargs)
@@ -362,20 +365,17 @@ class Runtime:
     def _dispatch_payload(self, dst_pe: int, payload: Any, size: int,
                           priority: Optional[int], tag: str,
                           dst_chare: Optional[ChareID] = None,
-                          entry_hint: Optional[str] = None,
-                          collection_hint: Optional[int] = None,
                           src_pe: Optional[int] = None,
                           relay_hop: int = 0) -> None:
         """Common exit point for every runtime-generated message."""
-        ctx = self.scheduler.current_context
+        ctx = self.scheduler._current
         if src_pe is not None:
             origin = src_pe
         else:  # _originating_pe(), inlined on the per-send path
             origin = ctx.pe if ctx is not None else self.config.driver_pe
-        msg = Message(
-            src_pe=origin, dst_pe=dst_pe, size_bytes=size, payload=payload,
-            priority=priority if priority is not None else DEFAULT_PRIORITY,
-            tag=tag)
+        msg = Message(origin, dst_pe, size, payload,
+                      priority if priority is not None else DEFAULT_PRIORITY,
+                      tag)
         if relay_hop:
             msg.relay_hop = relay_hop
         tracer = self.tracer
@@ -387,21 +387,21 @@ class Runtime:
                 msg.src_obj = ctx.chare_id.label
             if dst_chare is not None:
                 msg.dst_obj = dst_chare.label
-        if (self.config.collect_lb_stats and ctx is not None
-                and ctx.chare_id is not None and dst_chare is not None):
+        if ctx is None:
+            self.fabric.send(msg, self.scheduler.deliver)
+            return
+        if (dst_chare is not None and ctx.chare_id is not None
+                and self.config.collect_lb_stats):
             self.lb_db.record_send(
                 ctx.chare_id, dst_chare, size,
                 self.topology.crosses_wan(origin, dst_pe))
-        if ctx is not None:
-            # Run-to-completion: depart when the current entry finishes.
-            ctx.outbox.append(msg)
-        else:
-            self.fabric.send(msg, self.scheduler.deliver)
+        # Run-to-completion: depart when the current entry finishes.
+        ctx.outbox.append(msg)
 
     # -- execution-time services (called via Chare helpers) ------------------------
 
     def charge(self, seconds: float) -> None:
-        ctx = self.scheduler.current_context
+        ctx = self.scheduler._current
         if ctx is None:
             raise RuntimeSystemError("charge() outside an entry method")
         if seconds < 0:

@@ -41,9 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ExecutionContext:
     """State of the one entry-method execution in progress on a PE.
 
-    One is allocated per executed message, so it is a ``__slots__``
-    class with a straight-line ``__init__`` (no dataclass machinery on
-    the hot path).
+    A PE runs one execution at a time, so each PE owns a single context
+    that :meth:`Scheduler._execute` resets for every message (the outbox
+    is emptied when it flushes) instead of allocating one per message.
     """
 
     __slots__ = ("pe", "chare_id", "charged", "outbox",
@@ -65,10 +65,14 @@ class Scheduler:
 
     def __init__(self, rts: "Runtime") -> None:
         self._rts = rts
+        self._engine = rts.engine
         self._pes: List[PeState] = [
             PeState(pe, prioritized=rts.config.prioritized_queues)
             for pe in rts.topology.pes()
         ]
+        #: The reusable execution context of each PE.
+        self._contexts: List[ExecutionContext] = [
+            ExecutionContext(ps.pe) for ps in self._pes]
         self._current: Optional[ExecutionContext] = None
         #: Next causal span id (allocated only while tracing is on).
         self._next_exec_id = 0
@@ -117,11 +121,20 @@ class Scheduler:
                 sub.sent_at = msg.sent_at
                 ps.queue.push(sub)
                 ps.stats.messages_received += 1
-        else:
-            ps.queue.push(msg)
-            ps.stats.messages_received += 1
-        if ps.idle:
-            self._dispatch(ps)
+            if not ps.busy:
+                self._dispatch(ps)
+            return
+        ps.stats.messages_received += 1
+        queue = ps.queue
+        if ps.busy or queue.size:
+            queue.push(msg)
+            return
+        # An idle PE with an empty queue would pop this very message
+        # right after pushing it: run it directly, keeping the queue's
+        # high-water mark exactly what the push would have made it.
+        if not queue.high_water:
+            queue.high_water = 1
+        self._execute(ps, msg)
 
     def push_local(self, pe: int, msg: Message) -> None:
         """Re-queue a buffered message locally (post-migration flush)."""
@@ -141,14 +154,18 @@ class Scheduler:
 
     def _execute(self, ps: PeState, msg: Message) -> None:
         rts = self._rts
-        engine = rts.engine
-        t0 = engine.now
-        ctx = ExecutionContext(pe=ps.pe)
+        t0 = self._engine.now
+        ctx = self._contexts[ps.pe]
+        ctx.chare_id = None
+        ctx.charged = 0.0
+        ctx.migration_request = None
         tracer = rts.tracer
         tracing = tracer is not None and tracer.enabled
         if tracing:
             ctx.exec_id = self._next_exec_id
             self._next_exec_id += 1
+        else:
+            ctx.exec_id = None
         if self._current is not None:
             raise RuntimeSystemError(
                 "nested entry-method execution (scheduler bug)")
@@ -163,8 +180,29 @@ class Scheduler:
         label_chare, label_entry = "?", "?"
         try:
             if isinstance(payload, Invocation):
-                static_cost, label_chare, label_entry = \
-                    self._run_invocation(ps, ctx, msg, payload)
+                target = payload.target
+                coll = rts._collections.get(target.collection)
+                chare = None
+                if coll is not None and \
+                        coll.mapping.get(target.index) == ps.pe:
+                    chare = coll.objects.get(target.index)
+                if chare is None:
+                    static_cost, label_chare, label_entry = \
+                        self._reroute(ps, msg, payload)
+                else:
+                    ctx.chare_id = target
+                    cls = type(chare)
+                    entry = payload.entry
+                    func, info = self._entry_cache.get((cls, entry)) \
+                        or self._lookup_entry(cls, entry)
+                    # The class-level function with an explicit self:
+                    # ``getattr(chare, entry)(...)`` without allocating
+                    # a bound method per execution.
+                    func(chare, *payload.args, **payload.kwargs)
+                    if info.cost is not None:
+                        static_cost = self._static_cost(
+                            info, chare, payload)
+                    label_chare, label_entry = cls.__name__, entry
             elif isinstance(payload, ReductionMsg):
                 label_chare, label_entry = "<rts>", "reduction"
                 static_cost = rts.config.reduction_overhead
@@ -190,70 +228,66 @@ class Scheduler:
         total = rts.config.scheduler_overhead + static_cost + ctx.charged
         if tracing and tracer.enabled:
             # Object label: set only for entry methods that actually ran
-            # on a chare here (ctx.chare_id is filled by _run_invocation);
-            # runtime-internal work (<rts>, <driver>) stays unattributed.
+            # on a chare here (ctx.chare_id is filled by the invocation
+            # path); runtime-internal work (<rts>, <driver>) stays
+            # unattributed.
             chare_id = ctx.chare_id
             tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
                                  ctx.exec_id, msg.cause, msg.seq,
                                  chare_id.label
                                  if chare_id is not None else None)
-        engine.post(t0 + total, self._finish, args=(ps, ctx, total))
+        self._engine.fire_at(t0 + total, self._finish, (ps, ctx, total))
 
-    def _run_invocation(self, ps: PeState, ctx: ExecutionContext,
-                        msg: Message, inv: Invocation):
-        """Run a user entry method; returns (static_cost, labels...)."""
+    def _reroute(self, ps: PeState, msg: Message, inv: Invocation):
+        """Handle an invocation whose chare is not at home on this PE.
+
+        Forwards the message when the chare moved after it was sent, or
+        buffers it while the chare is still migrating here; raises for an
+        unknown chare.  Returns ``(static_cost, label_chare, label_entry)``.
+        """
         rts = self._rts
-        target = inv.target
-        current_pe = rts.pe_of(target)
+        current_pe = rts.pe_of(inv.target)
         if current_pe != ps.pe:
             # The chare moved after this message was sent: forward it,
             # charging this PE the forwarding overhead.
             rts._forward(ps.pe, current_pe, msg)
             return rts.config.forward_overhead, "<rts>", "forward"
+        # Chare is migrating here but has not arrived yet.
+        rts._buffer_until_arrival(inv.target, msg)
+        return 0.0, "<rts>", "await-migration"
 
-        chare = rts.chare_object(target)
-        if chare is None:
-            # Chare is migrating here but has not arrived yet.
-            rts._buffer_until_arrival(target, msg)
-            return 0.0, "<rts>", "await-migration"
+    def _lookup_entry(self, cls: type,
+                      entry: str) -> Tuple[Callable, EntryInfo]:
+        """Resolve and cache ``cls.entry``; raises if it is no entry."""
+        func = getattr(cls, entry, None)
+        if func is None:
+            raise EntryMethodError(
+                f"{cls.__name__} has no entry method {entry!r}")
+        info = entry_info(func)
+        if info is None:
+            raise EntryMethodError(
+                f"{cls.__name__}.{entry} is not declared with @entry")
+        cached = self._entry_cache[(cls, entry)] = (func, info)
+        return cached
 
-        ctx.chare_id = target
-        cls = type(chare)
-        cached = self._entry_cache.get((cls, inv.entry))
-        if cached is None:
-            func = getattr(cls, inv.entry, None)
-            if func is None:
-                raise EntryMethodError(
-                    f"{cls.__name__} has no entry method "
-                    f"{inv.entry!r}")
-            info = entry_info(func)
-            if info is None:
-                raise EntryMethodError(
-                    f"{cls.__name__}.{inv.entry} is not declared "
-                    "with @entry")
-            cached = self._entry_cache[(cls, inv.entry)] = (func, info)
-        func, info = cached
-        # The class-level function with an explicit self: equivalent to
-        # ``getattr(chare, entry)(...)`` without allocating a bound
-        # method per execution.
-        func(chare, *inv.args, **inv.kwargs)
-        static = 0.0
-        if info.cost is not None:
-            static = float(info.cost(chare, *inv.args, **inv.kwargs))
-            if static < 0:
-                raise EntryMethodError(
-                    f"negative static cost from {inv.entry}")
-        return static, cls.__name__, inv.entry
+    @staticmethod
+    def _static_cost(info: EntryInfo, chare, inv: Invocation) -> float:
+        """The entry's declared static cost for this invocation."""
+        static = float(info.cost(chare, *inv.args, **inv.kwargs))
+        if static < 0:
+            raise EntryMethodError(f"negative static cost from {inv.entry}")
+        return static
 
     def _finish(self, ps: PeState, ctx: ExecutionContext,
                 total: float) -> None:
         rts = self._rts
-        now = rts.engine.now
+        now = self._engine.now
         tracer = rts.tracer
         if tracer is not None and tracer.enabled:
             tracer.end_execute(ps.pe, now)
-        ps.stats.executions += 1
-        ps.stats.busy_time += total
+        stats = ps.stats
+        stats.executions += 1
+        stats.busy_time += total
         if ctx.chare_id is not None and rts.config.collect_lb_stats:
             rts.lb_db.record_execution(ctx.chare_id, total)
 
@@ -261,21 +295,26 @@ class Scheduler:
         # at the end of the busy interval (run-to-completion semantics).
         outbox = ctx.outbox
         if outbox:
-            ps.stats.messages_sent += len(outbox)
+            stats.messages_sent += len(outbox)
             send = rts.fabric.send
             deliver = self.deliver
             exec_id = ctx.exec_id
             for out in outbox:
                 out.cause = exec_id
                 send(out, deliver)
+            outbox.clear()
 
         ps.busy = False
-        ps.stats.last_idle_at = now
+        stats.last_idle_at = now
 
         if ctx.migration_request is not None:
             chare_id, new_pe = ctx.migration_request
             rts.migrate(chare_id, new_pe)
 
-        self._dispatch(ps)
-        if ps.idle:
+        # The PE is idle: run its next message, or, with nothing queued,
+        # see whether the whole run went quiet (only when someone asked).
+        queue = ps.queue
+        if queue.size:
+            self._execute(ps, queue.pop())
+        elif rts._quiescence_cbs:
             rts._maybe_quiescent()

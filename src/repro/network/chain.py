@@ -15,7 +15,10 @@ Most devices decide from the (src, dst) pair alone
 is done once per pair into a *route plan* and replayed for every later
 message: static pass-throughs vanish from the plan, static delays
 replay their fixed delay, hop span and counter, and only the dynamic
-devices (fault injection, transforms) still run per message.
+devices (fault injection, transforms) still run per message.  A pair
+whose whole route is fixed (no dynamic device, an unpiped transport)
+also gets a *wire plan*, from which the fabric computes the
+arrival time without walking the chain at all.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ class DeviceChain:
         self._devices: List[ChainDevice] = list(devices)
         if not self._devices:
             raise RoutingError("empty device chain")
-        #: ``(src_pe, dst_pe) -> (steps, transport, error)`` route plans
-        #: (see :meth:`_plan`), valid for :attr:`_plan_topo` and the
+        #: ``(src_pe, dst_pe) -> (steps, transport, error, wire)`` route
+        #: plans (see :meth:`_plan`), valid for :attr:`_plan_topo` and the
         #: current device list; cleared whenever either changes.
         self._plans: Dict[Tuple[int, int], tuple] = {}
         self._plan_topo: Optional[GridTopology] = None
@@ -95,6 +98,21 @@ class DeviceChain:
             f"cannot insert {device.name!r}: chain has no transport "
             f"device (devices: {[d.name for d in self._devices]})")
 
+    def plan(self, msg: Message, topo: GridTopology) -> tuple:
+        """The route plan of *msg*'s (src, dst) pair on *topo*, built on
+        the pair's first message (see :meth:`_plan`).
+
+        Plans are valid for one topology and the current device list;
+        asking with another topology drops every plan first.
+        """
+        if topo is not self._plan_topo:
+            self._plans.clear()
+            self._plan_topo = topo
+        plan = self._plans.get((msg.src_pe, msg.dst_pe))
+        if plan is None:
+            plan = self._plans[msg.src_pe, msg.dst_pe] = self._plan(msg, topo)
+        return plan
+
     def resolve(self, msg: Message, topo: GridTopology,
                 rng: Optional[np.random.Generator] = None, *,
                 record: bool = True, now: float = 0.0,
@@ -102,8 +120,8 @@ class DeviceChain:
         """Walk the chain until a transport claims *msg*.
 
         The walk follows the route plan of *msg*'s (src, dst) pair (see
-        :meth:`_plan`), built on the pair's first message; the result is
-        the same as asking every device in turn.
+        :meth:`plan`); the result is the same as asking every device in
+        turn.
 
         ``record=False`` resolves a model-only probe: no device statistics
         are updated and fault devices behave as pure pass-throughs (see
@@ -119,13 +137,7 @@ class DeviceChain:
         RoutingError
             If no device claims the message (misconfigured chain).
         """
-        if topo is not self._plan_topo:
-            self._plans.clear()
-            self._plan_topo = topo
-        plan = self._plans.get((msg.src_pe, msg.dst_pe))
-        if plan is None:
-            plan = self._plans[msg.src_pe, msg.dst_pe] = self._plan(msg, topo)
-        steps, transport, error = plan
+        steps, transport, error, _wire = self.plan(msg, topo)
         delay = 0.0
         current = msg
         dropped = False
@@ -168,7 +180,7 @@ class DeviceChain:
     def _plan(self, msg: Message, topo: GridTopology) -> tuple:
         """Walk the chain once for *msg*'s (src, dst) pair.
 
-        Returns ``(steps, transport, error)``.  ``steps`` lists, in
+        Returns ``(steps, transport, error, wire)``.  ``steps`` lists, in
         chain order, every dynamic device as ``(device, None)`` and
         every static device that adds delay as ``(device, delay)``;
         static devices that pass the pair through are left out.
@@ -176,6 +188,19 @@ class DeviceChain:
         after which the walk stops.  When no static transport claims
         it, ``transport`` is ``None`` and ``error`` says why resolution
         fails unless a dynamic device claims the message first.
+
+        ``wire`` is the pair's *wire plan*, or ``None``.  It exists when
+        the whole route is fixed: every step is static, and the transport
+        has a fixed lane (no pipe, no striping) and the base ``transit``,
+        whose only draw (the link's jitter) the fabric makes itself.
+        It is ``(pre_delay, delayers, transport, crosses_wan)``: the
+        summed step delay (added in chain order from ``0.0``, the float
+        expression :meth:`resolve` evaluates), the static devices whose
+        counters each message bumps, the transport, and whether the pair
+        crosses the wide area.  With it a send needs no walk at all
+        (see :meth:`~repro.network.fabric.NetworkFabric.send`).  It lives
+        and dies with its route plan: inserting a device or resolving
+        against another topology drops both.
         """
         steps = []
         for dev in self._devices:
@@ -187,13 +212,30 @@ class DeviceChain:
                 steps.append((dev, result.added_delay))
             if result.claimed:
                 if isinstance(dev, TransportDevice):
-                    return tuple(steps), dev, None
+                    steps = tuple(steps)
+                    return steps, dev, None, self._wire_plan(
+                        steps, dev, topo.crosses_wan(msg.src_pe, msg.dst_pe))
                 return tuple(steps), None, (
                     f"device {dev.name!r} claimed a message but is not "
-                    "a transport device")
+                    "a transport device"), None
         return tuple(steps), None, (
             f"no device in chain claims PE {msg.src_pe} -> PE {msg.dst_pe} "
-            f"(devices: {[d.name for d in self._devices]})")
+            f"(devices: {[d.name for d in self._devices]})"), None
+
+    @staticmethod
+    def _wire_plan(steps: tuple, transport: TransportDevice,
+                   crosses_wan: bool) -> Optional[tuple]:
+        """The wire plan of a statically claimed route, or ``None``."""
+        if any(fixed is None for _dev, fixed in steps):
+            return None
+        if (transport.fixed_lane is None
+                or type(transport).transit is not TransportDevice.transit):
+            return None
+        pre_delay = 0.0
+        for _dev, fixed in steps:
+            pre_delay += fixed
+        return (pre_delay, tuple(dev for dev, _fixed in steps), transport,
+                crosses_wan)
 
     def transports(self) -> List[TransportDevice]:
         """All transport devices in the chain, in order."""

@@ -169,21 +169,46 @@ class NetworkFabric:
         contention slot) and invokes *deliver* again on arrival —
         suppressing duplicates is the reliable layer's job, not ours.
         """
-        if msg.size_bytes < 0:
+        size = msg.size_bytes
+        if size < 0:
             # The fabric is the single choke point every message passes
             # through, so declared sizes are validated once here instead
             # of in the per-message ``Message.__init__`` hot path.
-            raise ValueError(f"negative message size {msg.size_bytes}")
-        now = self.engine.now
+            raise ValueError(f"negative message size {size}")
+        engine = self.engine
+        now = engine.now
         msg.sent_at = now
+        if self._tracer is None:
+            wire = self.chain.plan(msg, self.topology)[3]
+            if wire is not None:
+                # The pair's whole route is fixed (see
+                # ``DeviceChain._plan``): replay the counters and compute
+                # the arrival with the float expressions of the walk
+                # below (and ``TransportDevice.transit``), without
+                # building a route or asking any device.
+                pre_delay, delayers, transport, crossed_wan = wire
+                msg.crossed_wan = crossed_wan
+                for dev in delayers:
+                    dev.note_planned()
+                transport.messages_carried += 1
+                transport.bytes_carried += size
+                arrival = (now + pre_delay) + transport.link.transit_time(
+                    size, self.rng)
+                self.stats.record(transport.name, size, pre_delay)
+                self.in_flight += 1
+                if crossed_wan:
+                    self.wan_in_flight += 1
+                    self.wan_sent += 1
+                engine.fire_at(arrival, self._deliver_plain, (msg, deliver))
+                return arrival
         crossed_wan = self.topology.crosses_wan(msg.src_pe, msg.dst_pe)
         msg.crossed_wan = crossed_wan
 
         tracer = self._tracer
         # Flight recorder: collect per-device hop spans only when a live
-        # sink wants them.  With tracing off this send takes the exact
-        # code path (and float expressions) of the seed, so virtual-time
-        # results are bit-identical with observability disabled.
+        # sink wants them.  The hop spans only observe: the arrival
+        # takes the same float expressions with or without them, so
+        # virtual-time results are bit-identical with observability off.
         hop_sink = self._hop_sink
         want_hops = hop_sink is not None and hop_sink.enabled
         ledger: Optional[list] = [] if want_hops else None
@@ -211,7 +236,6 @@ class NetworkFabric:
             self.stats.record_duplicates(route.transport.name,
                                          route.duplicates)
 
-        engine = self.engine
         stats = self.stats
         transport = route.transport
         transport_start = now + route.pre_transport_delay
@@ -265,33 +289,31 @@ class NetworkFabric:
             # delivery post is once-per-wire-copy, so allocation here is
             # pure per-event overhead.
             if tracer is not None:
-                engine.post(arrival, self._deliver_traced,
-                            args=(msg, arrival, wire_msg.size_bytes, deliver))
+                engine.fire_at(arrival, self._deliver_traced,
+                               (msg, arrival, wire_msg.size_bytes, deliver))
             else:
-                engine.post(arrival, self._deliver_plain,
-                            args=(msg, deliver))
+                engine.fire_at(arrival, self._deliver_plain, (msg, deliver))
         return first_arrival
 
     def _deliver_plain(self, msg: Message, deliver: DeliverFn) -> None:
-        """Fire one wire copy's arrival (tracing off)."""
-        self._land(msg)
+        """Fire one wire copy's arrival (tracing off): the copy leaves
+        the wire, then *deliver* runs."""
+        self.in_flight -= 1
+        if msg.crossed_wan:
+            self.wan_in_flight -= 1
         deliver(msg)
 
     def _deliver_traced(self, msg: Message, arrival: float,
                         wire_bytes: int, deliver: DeliverFn) -> None:
         """Fire one wire copy's arrival, recording the delivery event."""
-        self._land(msg)
+        self.in_flight -= 1
+        if msg.crossed_wan:
+            self.wan_in_flight -= 1
         self._tracer.message_delivered(arrival, msg.src_pe, msg.dst_pe,
                                        wire_bytes, msg.tag, msg.crossed_wan,
                                        msg.seq, msg.cause, msg.ack_for,
                                        msg.src_obj, msg.dst_obj)
         deliver(msg)
-
-    def _land(self, msg: Message) -> None:
-        """Book-keep one wire copy leaving the wire (delivery instant)."""
-        self.in_flight -= 1
-        if msg.crossed_wan:
-            self.wan_in_flight -= 1
 
     def one_way_time(self, src_pe: int, dst_pe: int, size_bytes: int) -> float:
         """Model-only query: transit time for a hypothetical message.

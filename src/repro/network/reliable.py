@@ -155,6 +155,9 @@ class ReliableTransport:
         self.fabric = fabric
         self.policy = policy or RetransmitPolicy()
         self.rstats = ReliableStats()
+        #: The fabric's engine and topology, read on every send.
+        self._engine: Engine = fabric.engine
+        self._topology: GridTopology = fabric.topology
         self._pending: Dict[int, _Pending] = {}
         self._delivered: Set[int] = set()
         self._rtt: Dict[Tuple[int, int], _RttState] = {}
@@ -207,7 +210,7 @@ class ReliableTransport:
         transfer whose first copy is dropped this is ``math.inf`` even
         though a retransmission will eventually deliver it.
         """
-        if not self.topology.crosses_wan(msg.src_pe, msg.dst_pe):
+        if not self._topology.crosses_wan(msg.src_pe, msg.dst_pe):
             return self.fabric.send(msg, deliver)
 
         pend = _Pending(msg=msg, deliver=deliver,
@@ -229,7 +232,7 @@ class ReliableTransport:
                        policy.rto_min), policy.rto_max)
 
     def _transmit(self, pend: _Pending) -> float:
-        engine = self.engine
+        engine = self._engine
         pend.attempts += 1
         pend.last_sent = engine.now
         # Stamp the attempt so the flight recorder can tell a
@@ -239,11 +242,11 @@ class ReliableTransport:
             self.rstats.retransmits += 1
             if self.tracer is not None:
                 self.tracer.note_retransmit()
-        seq = pend.msg.seq
-        arrival = self.fabric.send(
-            pend.msg, lambda m, d=pend.deliver: self._on_data(m, d))
-        pend.timer = engine.post_in(
-            pend.rto, lambda seq=seq: self._on_timeout(seq))
+        # Bound methods (plus the timer's args tuple), not per-transfer
+        # closures: the arrival finds its transfer by the message's seq.
+        arrival = self.fabric.send(pend.msg, self._on_data)
+        pend.timer = engine.post(engine.now + pend.rto, self._on_timeout,
+                                 args=(pend.msg.seq,))
         return arrival
 
     def _on_timeout(self, seq: int) -> None:
@@ -264,8 +267,12 @@ class ReliableTransport:
 
     # -- receiving ---------------------------------------------------------
 
-    def _on_data(self, msg: Message, deliver: DeliverFn) -> None:
-        """A wire copy arrived at the destination: ack, dedup, deliver."""
+    def _on_data(self, msg: Message) -> None:
+        """A wire copy arrived at the destination: ack, dedup, deliver.
+
+        The first copy to arrive always finds its transfer pending: only
+        an ack, sent from here, ends a transfer.
+        """
         seq = msg.seq
         # Always (re-)ack: the sender may be retrying because the
         # previous ack was lost, and only an ack stops that.
@@ -273,30 +280,29 @@ class ReliableTransport:
         if seq in self._delivered:
             self.rstats.dups_suppressed += 1
             if self.tracer is not None:
-                self.tracer.note_dup_suppressed()
+                self.tracer.note_dup_suppressed(seq)
             return
         self._delivered.add(seq)
-        deliver(msg)
+        self._pending[seq].deliver(msg)
 
     def _send_ack(self, msg: Message) -> None:
         self.rstats.acks_sent += 1
         ack = Message(src_pe=msg.dst_pe, dst_pe=msg.src_pe,
                       size_bytes=self.policy.ack_bytes,
                       tag=f"ack:{msg.seq}", ack_for=msg.seq)
-        self.fabric.send(
-            ack, lambda _m, seq=msg.seq: self._on_ack(seq))
+        self.fabric.send(ack, self._on_ack)
 
-    def _on_ack(self, seq: int) -> None:
-        pend = self._pending.pop(seq, None)
+    def _on_ack(self, ack: Message) -> None:
+        pend = self._pending.pop(ack.ack_for, None)
         if pend is None:  # duplicate or stale ack
             return
         if pend.timer is not None:
-            self.engine.cancel(pend.timer)
+            self._engine.cancel(pend.timer)
         self.rstats.acked += 1
         if pend.attempts == 1:
             # Karn's rule: only unambiguous (never-retransmitted)
             # transfers yield RTT samples.
-            sample = self.engine.now - pend.last_sent
+            sample = self._engine.now - pend.last_sent
             self._observe_rtt((pend.msg.src_pe, pend.msg.dst_pe), sample)
 
     def _observe_rtt(self, pair: Tuple[int, int], sample: float) -> None:

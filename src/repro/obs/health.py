@@ -596,9 +596,9 @@ class TimedSink:
         self.inner.note_retransmit()
         self._tock(t0)
 
-    def note_dup_suppressed(self):
+    def note_dup_suppressed(self, seq):
         t0 = self._tick()
-        self.inner.note_dup_suppressed()
+        self.inner.note_dup_suppressed(seq)
         self._tock(t0)
 
     def message_hops(self, now, src_pe, dst_pe, size, tag, crossed_wan,

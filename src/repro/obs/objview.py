@@ -27,10 +27,11 @@ bit-identical to the interleaved streaming order because (a) all
 message counters are integers, (b) queue-wait pairing is FIFO per
 sequence id and every execution sharing a trigger seq runs on one PE
 (bundle sub-messages, duplicate deliveries), so the k-th pop pairs the
-k-th delivery on both paths, and (c) one object's executions are
-totally ordered (run-to-completion per PE; migration serializes the
-move), so its float accumulators see the same additions in the same
-order.
+k-th delivery on both paths (a copy the reliable layer suppresses is
+unparked right at its delivery event, on both paths), and (c) one
+object's executions are totally ordered (run-to-completion per PE;
+migration serializes the move), so its float accumulators see the same
+additions in the same order.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def fold_from_tracer(tracer: Tracer) -> ObjectFold:
     identical to the streaming fold of the same run.
     """
     fold = ObjectFold()
-    for ev in tracer.messages:
+    suppressed = set(tracer.suppressed)
+    for i, ev in enumerate(tracer.messages):
         local = ev.src_pe == ev.dst_pe
         if ev.kind == "send":
             fold.on_send(ev.size, ev.crossed_wan, local,
@@ -75,6 +77,8 @@ def fold_from_tracer(tracer: Tracer) -> ObjectFold:
         elif ev.kind == "deliver":
             fold.on_deliver(ev.time, ev.seq, ev.ack_for, ev.size,
                             ev.crossed_wan, local, ev.dst_obj)
+            if i in suppressed:
+                fold.on_dup_suppressed(ev.seq)
         else:
             fold.on_drop(ev.src_obj)
     for iv in tracer.intervals:
@@ -136,7 +140,10 @@ class ObjectView:
             "objects": len(self.fold.profiles),
             "executions": sum(p.executions for p in profs),
             "compute_s": self.fold.total_compute_s(),
-            "queue_wait_s": sum(p.queue_wait_s for p in profs),
+            # Sorted-label order, like ``total_compute_s``: the live and
+            # the replayed fold create profiles in different orders.
+            "queue_wait_s": sum(self.fold.profiles[obj].queue_wait_s
+                                for obj in sorted(self.fold.profiles)),
             "bytes_sent": sum(p.bytes_sent for p in profs),
             "wan_bytes_sent": sum(p.bytes_sent_wan for p in profs),
             "matrix_edges": len(self.fold.matrix),

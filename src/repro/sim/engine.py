@@ -19,6 +19,13 @@ in a lambda: a tuple is one small allocation where a closure costs a
 function object plus one cell per captured variable, and the per-event
 difference adds up over millions of simulated messages.
 
+Only ``post`` returns an :class:`EventHandle`.  Events that are never
+cancelled — message deliveries and the ends of entry executions, nearly
+every event of a run — go through :meth:`Engine.fire_at`, whose queue
+entry is a bare ``[when, seq, action, args]`` with no handle behind it.
+Both kinds draw from one sequence counter, so ties fire in posting
+order whichever method posted them.
+
 Events posted with ``daemon=True`` are *background* events (telemetry
 sampler ticks): they fire in time order like any other event, but they
 do not count toward :attr:`Engine.pending` and do not keep :meth:`run`
@@ -49,11 +56,9 @@ from repro.errors import SchedulingError, SimulationError
 Action = Callable[..., None]
 
 
-#: Entry-state markers (slot 2 of a queue entry).
-_QUEUED, _FIRED, _CANCELLED = None, "fired", "cancelled"
-
-#: Queue-entry layout: [when, seq, state, action, args, daemon].
-_WHEN, _SEQ, _STATE, _ACTION, _ARGS, _DAEMON = range(6)
+#: Queue-entry layout: ``[when, seq, action, args]``.  A cancelled
+#: entry keeps its place in the heap with ``action`` set to ``None``.
+_WHEN, _SEQ, _ACTION, _ARGS = range(4)
 
 _NO_ARGS: tuple = ()
 
@@ -64,21 +69,39 @@ class EventHandle:
     Cancellation is *lazy*: the event stays in the heap but is skipped when
     it reaches the front.  This keeps ``cancel`` O(1).
 
-    A plain ``__slots__`` class (not a dataclass): one handle is created
-    per posted event, so construction must stay a few attribute stores.
+    The heap entry of a cancellable event fires the handle itself, which
+    marks the event fired (so a late ``cancel`` is a no-op), settles the
+    engine's daemon count and then runs the action.  Events that are never
+    cancelled (:meth:`Engine.fire_at`) skip all of this: the dispatch loop
+    runs their action straight from the entry.
     """
 
-    __slots__ = ("time", "seq", "_entry")
+    __slots__ = ("time", "seq", "_entry", "_engine", "_action", "_args",
+                 "_daemon", "_state")
 
-    def __init__(self, time: float, seq: int, entry: list) -> None:
+    def __init__(self, engine: "Engine", time: float, seq: int,
+                 action: Action, args: tuple, daemon: bool) -> None:
         self.time = time
         self.seq = seq
-        self._entry = entry
+        self._engine = engine
+        self._action = action
+        self._args = args
+        self._daemon = daemon
+        #: ``None`` while queued, then "fired" or "cancelled".
+        self._state: Optional[str] = None
+        self._entry = [time, seq, self, _NO_ARGS]
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`Engine.cancel` was called on this handle."""
-        return self._entry[_STATE] is _CANCELLED
+        return self._state == "cancelled"
+
+    def __call__(self) -> None:
+        self._state = "fired"
+        self._entry = None  # popped: drop the entry <-> handle cycle
+        if self._daemon:
+            self._engine._daemon_live -= 1
+        self._action(*self._args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventHandle(time={self.time!r}, seq={self.seq})"
@@ -99,7 +122,9 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0,
                  max_events: Optional[int] = None) -> None:
-        self._now: float = float(start_time)
+        #: Current virtual time in seconds.  A plain attribute, read on
+        #: every send and execution; only the engine advances it.
+        self.now: float = float(start_time)
         self._queue: List[list] = []
         self._seq: int = 0
         self._running: bool = False
@@ -116,11 +141,6 @@ class Engine:
         self.profiler = None
 
     # -- clock --------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -145,6 +165,9 @@ class Engine:
              daemon: bool = False, args: tuple = _NO_ARGS) -> EventHandle:
         """Schedule ``action(*args)`` to run at absolute virtual time *when*.
 
+        Returns a handle for :meth:`cancel`.  Events that are never
+        cancelled should use :meth:`fire_at`, which skips the handle.
+
         With ``daemon=True`` the event is a background event: it fires in
         time order like any other, but does not count toward
         :attr:`pending` and does not keep :meth:`run` going once only
@@ -156,16 +179,37 @@ class Engine:
         SchedulingError
             If *when* is earlier than the current virtual time.
         """
-        if when < self._now:
+        if when < self.now:
             raise SchedulingError(
-                f"cannot schedule event at t={when!r} before now={self._now!r}")
+                f"cannot schedule event at t={when!r} before now={self.now!r}")
         seq = self._seq
-        entry = [when, seq, None, action, args, daemon]
         self._seq = seq + 1
-        heapq.heappush(self._queue, entry)
+        handle = EventHandle(self, when, seq, action, args, daemon)
+        heapq.heappush(self._queue, handle._entry)
         if daemon:
             self._daemon_live += 1
-        return EventHandle(when, seq, entry)
+        return handle
+
+    def fire_at(self, when: float, action: Action,
+                args: tuple = _NO_ARGS) -> None:
+        """Schedule ``action(*args)`` at *when*, with no way to cancel it.
+
+        The event takes the next sequence number, so it orders against
+        :meth:`post` events exactly as a ``post`` at the same point would;
+        it only skips the handle.  Message deliveries and execution ends
+        are never cancelled and use this.
+
+        Raises
+        ------
+        SchedulingError
+            If *when* is earlier than the current virtual time.
+        """
+        if when < self.now:
+            raise SchedulingError(
+                f"cannot schedule event at t={when!r} before now={self.now!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, [when, seq, action, args])
 
     def post_in(self, delay: float, action: Action,
                 daemon: bool = False, args: tuple = _NO_ARGS) -> EventHandle:
@@ -177,47 +221,49 @@ class Engine:
         """
         if delay < 0.0:
             raise SchedulingError(f"negative delay {delay!r}")
-        return self.post(self._now + delay, action, daemon=daemon, args=args)
+        return self.post(self.now + delay, action, daemon=daemon, args=args)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously posted event.  Idempotent; a no-op after
         the event has already fired."""
-        entry = handle._entry
-        if entry[_STATE] is _QUEUED:
-            entry[_STATE] = _CANCELLED
-            entry[_ACTION] = None
-            entry[_ARGS] = _NO_ARGS
+        if handle._state is None:
+            handle._state = "cancelled"
+            handle._action = None
+            handle._args = _NO_ARGS
+            handle._entry[_ACTION] = None
             self._cancelled_in_queue += 1
-            if entry[_DAEMON]:
+            if handle._daemon:
                 self._daemon_live -= 1
 
     # -- execution ------------------------------------------------------------
 
+    def _fire(self, when: float, action: Action, args: tuple) -> None:
+        """Advance the clock to *when* and run one popped live event."""
+        self.now = when
+        self._events_processed += 1
+        if (self._max_events is not None
+                and self._events_processed > self._max_events):
+            raise SimulationError(
+                f"exceeded max_events={self._max_events}; "
+                "likely a livelock in the simulated system")
+        profiler = self.profiler
+        if profiler is None:
+            action(*args)
+        else:
+            t0 = profiler.clock()
+            action(*args)
+            if type(action) is EventHandle:  # bill the posted action
+                action = action._action
+            profiler.record_action(action, profiler.clock() - t0)
+
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` when queue is empty."""
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            when, _seq, state, action, args, daemon = entry
-            if state is _CANCELLED:  # lazily cancelled
+            when, _seq, action, args = heapq.heappop(self._queue)
+            if action is None:  # lazily cancelled
                 self._cancelled_in_queue -= 1
                 continue
-            if daemon:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = when
-            self._events_processed += 1
-            if (self._max_events is not None
-                    and self._events_processed > self._max_events):
-                raise SimulationError(
-                    f"exceeded max_events={self._max_events}; "
-                    "likely a livelock in the simulated system")
-            profiler = self.profiler
-            if profiler is None:
-                action(*args)
-            else:
-                t0 = profiler.clock()
-                action(*args)
-                profiler.record_action(action, profiler.clock() - t0)
+            self._fire(when, action, args)
             return True
         return False
 
@@ -245,53 +291,28 @@ class Engine:
                 self._run_all()
             else:
                 self._run_bounded(until)
-                if self._now < until:
-                    self._now = until
+                if self.now < until:
+                    self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _run_bounded(self, bound: float) -> None:
-        """Inlined dispatch loop of ``run(until=bound)``: fires every event
-        with ``when <= bound``.
-
-        Mirrors :meth:`_run_all` — queue, ``heappop`` and the max-events
-        limit in locals, no method call per event — and is the single
-        place bounded runs skip lazily-cancelled entries (they are popped
-        and accounted here, exactly once).  Any behavioral change here
-        must land in :meth:`step` too (and vice versa).
-        """
+        """Dispatch loop of ``run(until=bound)``: fires every event with
+        ``when <= bound``, skipping lazily-cancelled entries (popped and
+        accounted here, exactly once)."""
         queue = self._queue
         pop = heapq.heappop
-        max_events = self._max_events
-        profiler = self.profiler
         while queue:
             entry = queue[0]
-            if entry[_STATE] is _CANCELLED:
+            if entry[_ACTION] is None:
                 pop(queue)
                 self._cancelled_in_queue -= 1
                 continue
-            when = entry[_WHEN]
-            if when > bound:
+            if entry[_WHEN] > bound:
                 break
             pop(queue)
-            if entry[_DAEMON]:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = when
-            self._events_processed += 1
-            if (max_events is not None
-                    and self._events_processed > max_events):
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "likely a livelock in the simulated system")
-            if profiler is None:
-                entry[_ACTION](*entry[_ARGS])
-            else:
-                t0 = profiler.clock()
-                entry[_ACTION](*entry[_ARGS])
-                profiler.record_action(entry[_ACTION],
-                                       profiler.clock() - t0)
+            self._fire(entry[_WHEN], entry[_ACTION], entry[_ARGS])
 
     def _run_all(self) -> None:
         """Run-until-quiescence fast path: :meth:`step` inlined.
@@ -300,11 +321,12 @@ class Engine:
         but with the queue, ``heappop`` and the max-events limit held in
         locals and no property/method call per event.  This is the loop
         every simulation spends its life in, so the constant factor
-        matters; any behavioral change here must land in :meth:`step`
+        matters; any behavioral change here must land in :meth:`_fire`
         too (and vice versa).  ``pending > 0`` guarantees a live
         non-daemon event, so the pop loop always fires something; daemon
         events fire too (in time order) but cannot keep the loop alive
-        alone.
+        alone.  Their count is settled by their handle when they fire,
+        not here.
 
         With a profiler attached, dispatch runs through the separate
         :meth:`_run_all_profiled` variant so the common case pays zero
@@ -317,22 +339,19 @@ class Engine:
         queue = self._queue
         pop = heapq.heappop
         max_events = self._max_events
-        while len(queue) - self._cancelled_in_queue - self._daemon_live > 0:
-            entry = pop(queue)
-            if entry[_STATE] is _CANCELLED:
+        while len(queue) > self._cancelled_in_queue + self._daemon_live:
+            when, _seq, action, args = pop(queue)
+            if action is None:
                 self._cancelled_in_queue -= 1
                 continue
-            if entry[_DAEMON]:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = entry[_WHEN]
+            self.now = when
             self._events_processed += 1
             if (max_events is not None
                     and self._events_processed > max_events):
                 raise SimulationError(
                     f"exceeded max_events={max_events}; "
                     "likely a livelock in the simulated system")
-            entry[_ACTION](*entry[_ARGS])
+            action(*args)
 
     def _run_all_profiled(self) -> None:
         """:meth:`_run_all` with per-event wall-clock attribution.
@@ -355,27 +374,25 @@ class Engine:
         record = profiler.record_action
         buckets = profiler._buckets
         t_prev = clock()
-        while len(queue) - self._cancelled_in_queue - self._daemon_live > 0:
-            entry = pop(queue)
-            if entry[_STATE] is _CANCELLED:
+        while len(queue) > self._cancelled_in_queue + self._daemon_live:
+            when, _seq, action, args = pop(queue)
+            if action is None:
                 self._cancelled_in_queue -= 1
                 continue
-            if entry[_DAEMON]:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = entry[_WHEN]
+            self.now = when
             self._events_processed += 1
             if (max_events is not None
                     and self._events_processed > max_events):
                 raise SimulationError(
                     f"exceeded max_events={max_events}; "
                     "likely a livelock in the simulated system")
-            action = entry[_ACTION]
-            action(*entry[_ARGS])
+            action(*args)
             t_now = clock()
             # WallProfiler.record_action inlined (bucket-hit fast path)
             # to drop a method call per event; the miss path delegates
             # and creates the per-function bucket.
+            if type(action) is EventHandle:
+                action = action._action
             func = getattr(action, "__func__", action)
             bucket = buckets.get(func)
             if bucket is None:
@@ -389,8 +406,8 @@ class Engine:
 
     def snapshot(self) -> Tuple[float, int, int]:
         """Return ``(now, pending, processed)`` for logging/assertions."""
-        return (self._now, self.pending, self._events_processed)
+        return (self.now, self.pending, self._events_processed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Engine(now={self._now:.9f}, pending={self.pending}, "
+        return (f"Engine(now={self.now:.9f}, pending={self.pending}, "
                 f"processed={self._events_processed})")

@@ -458,9 +458,10 @@ class ObjectFold:
     (entry, grain) pairs + comm-matrix nonzeros + deliveries not yet
     consumed by their execution).  Ack deliveries (``ack_for`` set)
     never trigger an execution, so they are not parked for queue-wait
-    pairing.  The fold's cost is paid per event inside the run; the
-    perf-smoke object-fold bar measures it against stats-only
-    aggregation.
+    pairing, and a duplicate copy the reliable layer suppresses is
+    unparked as it is dropped (:meth:`on_dup_suppressed`).  The fold's
+    cost is paid per event inside the run; the perf-smoke object-fold
+    bar measures it against stats-only aggregation.
     """
 
     __slots__ = ("profiles", "matrix", "_pending",
@@ -595,6 +596,21 @@ class ObjectFold:
             p.msgs_recv_lan += 1
             p.bytes_recv_lan += size
 
+    def on_dup_suppressed(self, seq: int) -> None:
+        """The reliable layer dropped the copy of *seq* that was just
+        delivered: unpark it (the newest delivery parked for *seq*), since
+        no execution will ever consume it."""
+        pending = self._pending
+        cur = pending.get(seq)
+        if cur is None:
+            return
+        if type(cur) is list:
+            cur.pop()
+            if not cur:
+                del pending[seq]
+        else:
+            del pending[seq]
+
     def on_drop(self, src_obj: Optional[str]) -> None:
         if src_obj is None:
             return
@@ -614,7 +630,11 @@ class ObjectFold:
         return out
 
     def total_compute_s(self) -> float:
-        return sum(p.compute_s for p in self.profiles.values())
+        """Compute summed over objects in sorted-label order, so the sum
+        does not depend on the order the profiles were created in (the
+        live and the replayed fold create them in different orders)."""
+        profiles = self.profiles
+        return sum(profiles[obj].compute_s for obj in sorted(profiles))
 
     def top_by_compute(self, k: int = 10) -> List[ObjectProfile]:
         """The *k* objects with the most compute; deterministic ties."""
@@ -704,7 +724,7 @@ class TraceSink(Protocol):
 
     def note_retransmit(self) -> None: ...
 
-    def note_dup_suppressed(self) -> None: ...
+    def note_dup_suppressed(self, seq: int) -> None: ...
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
                      tag: str, crossed_wan: bool, seq: Optional[int],
@@ -800,8 +820,8 @@ class TraceFanout:
     def note_retransmit(self) -> None:
         self._fanout(lambda s: s.note_retransmit())
 
-    def note_dup_suppressed(self) -> None:
-        self._fanout(lambda s: s.note_dup_suppressed())
+    def note_dup_suppressed(self, seq: int) -> None:
+        self._fanout(lambda s: s.note_dup_suppressed(seq))
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
                      tag: str, crossed_wan: bool, seq: Optional[int],
@@ -866,6 +886,10 @@ class Tracer:
         #: Reliable-transport counters (cheap; kept even in big sweeps).
         self.retransmits = 0
         self.dups_suppressed = 0
+        #: Indices into :attr:`messages` of the ``deliver`` events whose
+        #: wire copy the reliable layer then dropped as a duplicate (the
+        #: object-view replay unparks them, as the live fold does).
+        self.suppressed: List[int] = []
         #: Lazily built per-PE interval index for window queries; rebuilt
         #: whenever intervals were appended since the last build.
         self._index: Optional[Dict[int, Tuple[List[float], List[float],
@@ -946,10 +970,22 @@ class Tracer:
         if self.enabled:
             self.retransmits += 1
 
-    def note_dup_suppressed(self) -> None:
-        """Count one duplicate delivery suppressed by the reliable layer."""
-        if self.enabled:
-            self.dups_suppressed += 1
+    def note_dup_suppressed(self, seq: int) -> None:
+        """Count one duplicate delivery suppressed by the reliable layer.
+
+        Also mark that copy's ``deliver`` event: the latest one recorded
+        for *seq* (the layer suppresses a copy as it arrives, before
+        anything else is delivered).
+        """
+        if not self.enabled:
+            return
+        self.dups_suppressed += 1
+        messages = self.messages
+        for i in range(len(messages) - 1, -1, -1):
+            ev = messages[i]
+            if ev.kind == "deliver" and ev.seq == seq and ev.ack_for is None:
+                self.suppressed.append(i)
+                return
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
                      tag: str, crossed_wan: bool, seq: Optional[int],
@@ -1307,8 +1343,16 @@ class TraceAggregator:
         self._wan_open: Dict[int, Dict[Tuple[int, int], _OpenWindow]] = {}
         #: dst_pe -> {src_pe: FIFO of open windows} for legacy sends.
         self._wan_fifo: Dict[int, Dict[int, List[_OpenWindow]]] = {}
-        #: (src, dst, seq) triples already delivered (dup suppression).
+        #: (src, dst, seq) of WAN transfers under ARQ whose first copy
+        #: was delivered but whose ack has not come back yet.  Only then
+        #: can a late retransmission of the seq still be sent, so only
+        #: then must it be kept from opening a second window (see
+        #: :meth:`message_sent`).  Fault-free and ARQ-free runs keep none.
         self._wan_delivered: set = set()
+        #: The (src, dst, seq) whose window the last WAN delivery closed:
+        #: under ARQ the receiver's ack send follows it at once, and that
+        #: ack moves it into :attr:`_wan_delivered`.
+        self._last_closed: Optional[Tuple[int, int, int]] = None
         #: Per-lane usage folded online from hop ledgers (flight recorder).
         self._links: Dict[str, LinkUsage] = {}
         self._metrics = metrics
@@ -1397,6 +1441,12 @@ class TraceAggregator:
                                  src_obj, dst_obj)
         if not crossed_wan:
             return
+        if ack_for is not None:
+            # The receiver acks a copy the instant it arrives; acking the
+            # delivery that closed a window puts the transfer under ARQ.
+            closed, self._last_closed = self._last_closed, None
+            if closed is not None and closed == (dst_pe, src_pe, ack_for):
+                self._wan_delivered.add(closed)
         self.wan_sends += 1
         self.wan_bytes_sent += size
         if seq is None:
@@ -1427,6 +1477,9 @@ class TraceAggregator:
                                     src_pe == dst_pe, dst_obj)
         if not crossed_wan:
             return
+        if ack_for is not None:
+            # The sender has its ack: it sends no more copies of the seq.
+            self._wan_delivered.discard((dst_pe, src_pe, ack_for))
         self.wan_delivers += 1
         win: Optional[_OpenWindow] = None
         if seq is None:
@@ -1442,7 +1495,7 @@ class TraceAggregator:
             if opens is not None:
                 win = opens.pop((src_pe, seq), None)
             if win is not None:
-                self._wan_delivered.add(triple)
+                self._last_closed = triple
         if win is None:
             return  # delivery without a recorded send (partial trace)
         open_exec = self._open_exec.get(dst_pe)
@@ -1477,9 +1530,12 @@ class TraceAggregator:
         if self.enabled:
             self.retransmits += 1
 
-    def note_dup_suppressed(self) -> None:
-        if self.enabled:
-            self.dups_suppressed += 1
+    def note_dup_suppressed(self, seq: int) -> None:
+        if not self.enabled:
+            return
+        self.dups_suppressed += 1
+        if self.objview is not None:
+            self.objview.on_dup_suppressed(seq)
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
                      tag: str, crossed_wan: bool, seq: Optional[int],

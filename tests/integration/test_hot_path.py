@@ -6,8 +6,11 @@ per-pair route plans (static devices are not re-asked), the fabric's
 cached "does the sink take hop ledgers" decision and the sink itself,
 which every layer reads as a plain attribute.  A lane-only sink takes
 a copy whose ledger would be one fixed span as numbers, and must end
-with the sums built ledgers give.  These tests observe each one
-directly during a stats-on stencil run.
+with the sums built ledgers give.  With observability off, a pair whose
+route is fixed is sent from its wire plan without walking the chain,
+and a message reaching an idle PE with an empty queue runs without
+passing through the queue.  These tests observe each one directly
+during a run.
 """
 
 from __future__ import annotations
@@ -17,12 +20,25 @@ import pickle
 
 import pytest
 
+import repro.network.chain as chain_module
+from repro.apps.leanmd import LeanMDApp
 from repro.apps.stencil import StencilApp
+from repro.core.chare import Chare
 from repro.core.ids import ChareID
-from repro.grid.presets import artificial_latency_env, lossy_wan_env
+from repro.core.method import entry
+from repro.core.queue import MessageQueue
+from repro.core.records import Bundle
+from repro.core.scheduler import Scheduler
+from repro.grid.presets import (
+    artificial_latency_env,
+    lossy_wan_env,
+    single_cluster_env,
+    teragrid_env,
+)
 from repro.network.chain import DeviceChain
 from repro.network.delay import DelayDevice
-from repro.network.devices import TransportDevice
+from repro.network.devices import ChainDevice, TransportDevice
+from repro.network.message import Message
 from repro.sim.trace import TraceAggregator, Tracer
 from repro.units import ms
 
@@ -200,3 +216,173 @@ def test_sink_is_a_plain_attribute_on_every_layer():
         assert layer.tracer is env.fabric.tracer is env.aggregator
     env.fabric.tracer = None
     assert env.runtime.tracer is None and env.transport.tracer is None
+
+
+def _all_subclasses(cls):
+    out = {cls}
+    for sub in cls.__subclasses__():
+        out |= _all_subclasses(sub)
+    return out
+
+
+def _spy_walks(monkeypatch):
+    """Count the routes built and device calls made for recorded sends
+    (not model-only probes, not route planning)."""
+    planning = [False]
+    walks = {"routes": 0, "process": 0}
+    original_resolve = DeviceChain.resolve
+
+    def resolve(self, msg, topo, rng=None, **kwargs):
+        if kwargs.get("record", True):
+            walks["routes"] += 1
+        return original_resolve(self, msg, topo, rng, **kwargs)
+
+    monkeypatch.setattr(DeviceChain, "resolve", resolve)
+    original_route = chain_module.Route
+    built = [0]
+
+    def route(*args, **kwargs):
+        built[0] += 1
+        return original_route(*args, **kwargs)
+
+    monkeypatch.setattr(chain_module, "Route", route)
+    for cls in _all_subclasses(ChainDevice):
+        if "process" not in vars(cls):
+            continue
+
+        def spy(self, *args, _orig=vars(cls)["process"], **kwargs):
+            if not planning[0] and kwargs.get("record", True):
+                walks["process"] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "process", spy)
+    original_plan = DeviceChain._plan
+
+    def plan(self, msg, topo):
+        planning[0] = True
+        try:
+            return original_plan(self, msg, topo)
+        finally:
+            planning[0] = False
+
+    monkeypatch.setattr(DeviceChain, "_plan", plan)
+    return walks, built
+
+
+def test_obs_off_static_send_builds_no_route(monkeypatch):
+    walks, built = _spy_walks(monkeypatch)
+    env = artificial_latency_env(8, ms(2), stats=False)
+    assert env.fabric.tracer is None
+    _stencil(env)
+    fabric = env.fabric
+    assert fabric.stats.total_messages > 0 and fabric.wan_sent > 0
+    assert walks == {"routes": 0, "process": 0} and built == [0]
+    # The counters a walk would have bumped were replayed.
+    delay = next(d for d in env.chain.devices if isinstance(d, DelayDevice))
+    assert delay.messages_delayed == fabric.wan_sent
+    transports = [d for d in env.chain.devices
+                  if isinstance(d, TransportDevice)]
+    assert sum(t.messages_carried for t in transports) == \
+        fabric.stats.total_messages
+    assert {t.name: t.messages_carried for t in transports
+            if t.messages_carried} == fabric.stats.messages
+
+
+def test_piped_and_dynamic_pairs_take_the_walk(monkeypatch):
+    walks, _built = _spy_walks(monkeypatch)
+    env = teragrid_env(8, seed=1, stats=False)  # a piped (and jittered) WAN
+    _stencil(env)
+    # Every WAN copy was routed by a walk; intra-cluster pairs were not.
+    assert walks["routes"] == env.fabric.wan_sent > 0
+    walks.update(routes=0, process=0)
+    env = lossy_wan_env(8, ms(2), stats=False)  # a fault device per WAN send
+    _stencil(env)
+    assert walks["routes"] == env.transport.rstats.transfers + \
+        env.transport.rstats.retransmits + env.transport.rstats.acks_sent
+    assert walks["process"] == walks["routes"]  # the fault device only
+
+
+def _deliver_through_the_queue(self, msg):
+    """``Scheduler.deliver`` as it was before idle PEs took messages
+    directly: every message is pushed, then the idle PE pops it."""
+    ps = self._pes[msg.dst_pe]
+    payload = msg.payload
+    if isinstance(payload, Bundle):
+        for inv in payload.invocations:
+            sub = Message(src_pe=msg.src_pe, dst_pe=msg.dst_pe,
+                          size_bytes=0, payload=inv,
+                          priority=msg.priority, tag=msg.tag,
+                          seq=msg.seq, cause=msg.cause)
+            sub.crossed_wan = msg.crossed_wan
+            sub.sent_at = msg.sent_at
+            ps.queue.push(sub)
+            ps.stats.messages_received += 1
+    else:
+        ps.queue.push(msg)
+        ps.stats.messages_received += 1
+    if ps.idle:
+        self._dispatch(ps)
+
+
+def _pe_figures(env):
+    return [(ps.queue.high_water, ps.stats.messages_received,
+             ps.stats.executions, ps.stats.busy_time, ps.stats.last_idle_at)
+            for ps in env.runtime.scheduler.pes]
+
+
+@pytest.mark.parametrize("workload", ["stencil", "leanmd"])
+def test_idle_pe_direct_delivery_keeps_queue_figures(monkeypatch, workload):
+    def run():
+        if workload == "stencil":
+            env = artificial_latency_env(8, ms(2), stats=False)
+            result = _stencil(env)
+        else:
+            env = lossy_wan_env(8, ms(2), stats=False)
+            result = LeanMDApp(env, cells=(3, 3, 3), payload="modeled",
+                               seed=0).run(2)
+        return env, result
+
+    pushes = [0]
+    original_push = MessageQueue.push
+
+    def counting_push(self, msg):
+        pushes[0] += 1
+        original_push(self, msg)
+
+    monkeypatch.setattr(MessageQueue, "push", counting_push)
+    env, result = run()
+    direct_pushes = pushes[0]
+    received = sum(ps.stats.messages_received
+                   for ps in env.runtime.scheduler.pes)
+    assert direct_pushes < received  # some messages skipped the queue
+    figures, events = _pe_figures(env), env.engine.events_processed
+
+    monkeypatch.setattr(Scheduler, "deliver", _deliver_through_the_queue)
+    pushes[0] = 0
+    ref_env, ref_result = run()
+    assert pushes[0] == received
+    assert _pe_figures(ref_env) == figures
+    assert ref_env.engine.events_processed == events
+    assert ref_result.time_per_step_ms == result.time_per_step_ms
+
+
+class _Sink(Chare):
+    def __init__(self):
+        super().__init__()
+        self.got = 0
+
+    @entry
+    def take(self):
+        self.got += 1
+
+
+def test_message_to_an_idle_pe_counts_in_its_queue_figures():
+    """A PE that only ever receives while idle still reports the one
+    queued message the push would have left at its high-water mark."""
+    env = single_cluster_env(2, stats=False)
+    sink = env.runtime.create_chare(_Sink, pe=1)
+    sink.take()
+    env.run()
+    ps = env.runtime.scheduler.pe_state(1)
+    assert ps.stats.messages_received == 1 and ps.stats.executions == 1
+    assert ps.queue.high_water == 1 and len(ps.queue) == 0

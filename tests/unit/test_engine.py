@@ -350,3 +350,81 @@ def test_cancel_after_window_still_honoured():
     eng.cancel(late)
     eng.run()
     assert fired == ["a"] and eng.pending == 0
+
+
+# -- handle-free events ------------------------------------------------------
+
+
+def test_fire_at_returns_no_handle_and_fires_in_time_order():
+    eng = Engine()
+    order = []
+    assert eng.fire_at(2.0, order.append, ("b",)) is None
+    eng.fire_at(1.0, order.append, ("a",))
+    assert eng.pending == 2
+    eng.run()
+    assert order == ["a", "b"] and eng.now == 2.0
+    assert eng.events_processed == 2
+
+
+def test_fire_at_in_past_rejected():
+    eng = Engine()
+    eng.fire_at(1.0, lambda: None)
+    eng.run()
+    with pytest.raises(SchedulingError):
+        eng.fire_at(0.5, lambda: None)
+
+
+def test_handle_free_and_cancellable_posts_interleave_in_seq_order():
+    eng = Engine()
+    order = []
+    handles = []
+    for i in range(12):
+        if i % 3 == 0:
+            eng.fire_at(1.0, order.append, (i,))
+        else:
+            handles.append(eng.post(1.0, order.append, args=(i,),
+                                    daemon=i % 3 == 2))
+    eng.fire_at(0.5, order.append, ("early",))
+    eng.post(0.5, order.append, args=("early-post",))
+    eng.fire_at(2.0, order.append, ("last",))  # outlives the daemons
+    eng.run()
+    assert order == ["early", "early-post"] + list(range(12)) + ["last"]
+    assert [h.seq for h in handles] == sorted(h.seq for h in handles)
+
+
+def test_pending_with_daemons_cancels_and_handle_free_events():
+    eng = Engine()
+    fired = []
+    plain = eng.post(1.0, fired.append, args=("post",))
+    daemon = eng.post(2.0, fired.append, args=("daemon",), daemon=True)
+    dead_daemon = eng.post(3.0, fired.append, args=("dead-daemon",),
+                           daemon=True)
+    eng.fire_at(4.0, fired.append, ("fire",))
+    assert eng.pending == 2  # the plain post and the handle-free event
+    eng.cancel(dead_daemon)
+    eng.cancel(dead_daemon)  # idempotent
+    assert eng.pending == 2 and dead_daemon.cancelled
+    eng.cancel(plain)
+    assert eng.pending == 1 and plain.cancelled
+    eng.run(until=2.5)
+    assert fired == ["daemon"] and eng.pending == 1
+    eng.cancel(daemon)  # already fired: a no-op
+    assert not daemon.cancelled and eng.pending == 1
+    eng.run()
+    assert fired == ["daemon", "fire"] and eng.pending == 0
+    assert eng.events_processed == 2
+
+
+def test_run_ends_with_only_daemons_left_after_handle_free_events():
+    eng = Engine()
+    ticks = []
+
+    def tick():
+        ticks.append(eng.now)
+        eng.post_in(1.0, tick, daemon=True)
+
+    eng.post_in(1.0, tick, daemon=True)
+    eng.fire_at(2.5, lambda: None)
+    eng.run()
+    assert ticks == [1.0, 2.0] and eng.now == 2.5
+    assert eng.pending == 0

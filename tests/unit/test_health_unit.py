@@ -253,7 +253,7 @@ class _NullSink:
     def note_retransmit(self):
         self.calls += 1
 
-    def note_dup_suppressed(self):
+    def note_dup_suppressed(self, seq):
         self.calls += 1
 
 

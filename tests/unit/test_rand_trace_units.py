@@ -176,7 +176,7 @@ def test_tracer_reliability_counters():
     tr = Tracer()
     tr.note_retransmit()
     tr.note_retransmit()
-    tr.note_dup_suppressed()
+    tr.note_dup_suppressed(7)
     assert (tr.retransmits, tr.dups_suppressed) == (2, 1)
     off = Tracer(enabled=False)
     off.note_retransmit()

@@ -4,7 +4,10 @@
 into a plan and replays it.  These tests keep the plain walk (resolve as
 it was before plans) as a reference and check, for every pair of several
 chains, that the planned resolution gives the same routes, hop spans and
-device counters, including model-only probes and chain mutation.
+device counters, including model-only probes and chain mutation.  Pairs
+whose route is fixed also get a wire plan, which an untraced fabric
+sends from without walking; it must give the arrival times and counters
+of the walk it replaces.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.grid.presets import (
     teragrid_env,
 )
 from repro.network.chain import DeviceChain, Route
+from repro.network.contention import PipePair
 from repro.network.delay import (
     DelayDevice,
     PairwiseDelayDevice,
@@ -31,10 +35,17 @@ from repro.network.devices import (
     TransportDevice,
     WanDevice,
 )
-from repro.network.faults import LinkFlap
+from repro.network.fabric import NetworkFabric
+from repro.network.faults import FaultyDevice, LinkFlap
 from repro.network.hops import HopSpan
-from repro.network.links import myrinet_like, shared_memory
+from repro.network.links import (
+    LinkModel,
+    LognormalJitter,
+    myrinet_like,
+    shared_memory,
+)
 from repro.network.message import Message
+from repro.sim.engine import Engine
 from repro.network.topology import GridTopology
 from repro.network.transform import CompressionDevice, EncryptionDevice
 from repro.units import ms
@@ -110,6 +121,9 @@ CHAINS = {
         PairwiseDelayDevice({(0, 5): ms(1), (5, 0): ms(3), (1, 2): ms(0.5),
                              (3, 3): ms(0.25)}),
     ] + _base()[2:] + [WanDevice(myrinet_like("wan"))]),
+    "jittered-wan": _manual(lambda: _base() + [
+        DelayDevice(ms(1)),
+        WanDevice(LinkModel("wan", 1e-3, jitter=LognormalJitter(1e-4)))]),
 }
 
 
@@ -211,3 +225,96 @@ def test_unclaimed_pair_still_raises():
         chain.resolve(Message(0, 1, 8, seq=0), topo)
     with pytest.raises(RoutingError, match="no device in chain claims"):
         chain.resolve(Message(0, 1, 8, seq=1), topo)  # from the plan
+
+
+def _fabric_figures(fabric: NetworkFabric) -> dict:
+    stats = fabric.stats
+    return {"messages": stats.messages, "bytes": stats.bytes,
+            "filter_delay": stats.filter_delay_total,
+            "dropped": stats.dropped, "duplicated": stats.duplicated,
+            "wan_sent": fabric.wan_sent, "in_flight": fabric.in_flight,
+            "devices": [_counters(d) for d in fabric.chain.devices]}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_wire_plan_sends_match_the_walk(name):
+    """An untraced fabric sends wire-planned pairs without a walk; a
+    fabric whose plans carry no wire plan walks every send.  Both give
+    the same arrivals, the same counters and the same jitter draws."""
+    fabrics = []
+    for with_wire in (True, False):
+        chain, topo = CHAINS[name]()
+        if not with_wire:
+            plan = chain.plan
+            chain.plan = lambda msg, topo, _plan=plan: \
+                _plan(msg, topo)[:3] + (None,)
+        fabrics.append(NetworkFabric(Engine(), topo, chain,
+                                     rng=np.random.default_rng(7)))
+    arrivals = ([], [])
+    for i, (src, dst) in enumerate(_traffic(rounds=4)):
+        now = i * 1e-4
+        size = 100 + 997 * (i % 9)
+        for fabric, out in zip(fabrics, arrivals):
+            fabric.engine.run(until=now)
+            out.append(fabric.send(Message(src, dst, size, seq=i),
+                                   lambda m: None))
+    assert arrivals[0] == arrivals[1]
+    planned, walked = fabrics
+    assert _fabric_figures(planned) == _fabric_figures(walked)
+    assert planned.rng.bit_generator.state == walked.rng.bit_generator.state
+
+
+def _wired_pairs(chain, topo) -> set:
+    return {(s, d) for s in range(topo.num_pes) for d in range(topo.num_pes)
+            if chain.plan(Message(s, d, 64, seq=0), topo)[3] is not None}
+
+
+def test_only_fixed_routes_get_a_wire_plan():
+    everything = {(s, d) for s in range(PES) for d in range(PES)}
+    chain, topo = CHAINS["artificial-latency"]()
+    assert _wired_pairs(chain, topo) == everything
+    local = {(s, d) for s, d in everything
+             if not topo.crosses_wan(s, d)}
+    # A jittered and piped WAN (teragrid), a striped one and a fault
+    # device on the WAN each leave only the intra-cluster pairs.
+    for name in ("teragrid", "striped", "lossy-arq"):
+        chain, topo = CHAINS[name]()
+        assert _wired_pairs(chain, topo) == local, name
+    # Jitter alone (no pipe) keeps the wire plan: the wire path draws
+    # the transit exactly as the transport would.
+    chain, topo = CHAINS["jittered-wan"]()
+    assert _wired_pairs(chain, topo) == everything
+    # A pipe alone (no jitter) keeps the walk.
+    piped = WanDevice(myrinet_like("wan"), pipe=PipePair(name="wan"))
+    chain = DeviceChain(_base() + [DelayDevice(ms(1)), piped])
+    assert _wired_pairs(chain, topo) == local
+    # So is a dynamic device ahead of the claiming transport.
+    chain, topo = CHAINS["compress-encrypt"]()
+    assert _wired_pairs(chain, topo) == {(s, s) for s in range(PES)}
+
+
+def test_wire_plan_is_dropped_with_its_route_plan():
+    chain, topo = CHAINS["artificial-latency"]()
+    wan = Message(0, PES - 1, 64, seq=0)
+    pre_delay, delayers, transport, crosses = chain.plan(wan, topo)[3]
+    assert (pre_delay, crosses, transport.name) == (ms(2), True,
+                                                    "wan-artificial")
+    assert [d.name for d in delayers] == ["delay"]
+    late = DelayDevice(ms(5), applies_to=lambda s, d, t: True, name="late")
+    chain.insert_before_transport(late)
+    pre_delay, delayers, _t, _c = chain.plan(wan, topo)[3]
+    assert pre_delay == 0.0 + ms(5) + ms(2)
+    assert [d.name for d in delayers] == ["late", "delay"]
+    chain.insert_before_transport(FaultyDevice(0.0, 0.0, 0.0,
+                                               rng=np.random.default_rng(1)))
+    assert chain.plan(wan, topo)[3] is None
+    # A plan is valid for one topology only.
+    chain = DeviceChain(_base() + [DelayDevice(ms(1)),
+                                   WanDevice(myrinet_like("wan"))])
+    split = GridTopology.two_cluster(4, pes_per_node=2)
+    whole = GridTopology.single_cluster(4, pes_per_node=2)
+    msg = Message(0, 3, 64, seq=0)
+    devices = chain.devices
+    assert chain.plan(msg, split)[3] == (ms(1), (devices[3],), devices[4],
+                                         True)
+    assert chain.plan(msg, whole)[3] == (0.0, (), devices[2], False)

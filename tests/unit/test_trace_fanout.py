@@ -40,7 +40,7 @@ class _RecordingSink:
     def note_retransmit(self):
         self.events.append(("retransmit",))
 
-    def note_dup_suppressed(self):
+    def note_dup_suppressed(self, seq):
         self.events.append(("dup",))
 
 
@@ -68,7 +68,7 @@ def test_error_surfaces_exactly_once_then_quarantine():
         fan.note_retransmit()
     # Subsequent calls skip the quarantined sink and stay silent.
     fan.note_retransmit()
-    fan.note_dup_suppressed()
+    fan.note_dup_suppressed(3)
     assert healthy.events == [("retransmit",)] * 2 + [("dup",)]
     # The broken sink was never called again (its other raising method
     # would have thrown if it had been).
@@ -135,7 +135,7 @@ def test_all_event_kinds_fan_out():
     fan.message_delivered(0.8, 0, 1, 64, "t", True)
     fan.message_dropped(0.9, 0, 1, 64, "t", True)
     fan.note_retransmit()
-    fan.note_dup_suppressed()
+    fan.note_dup_suppressed(3)
     assert a.events == b.events
     assert len(a.events) == 7
 
